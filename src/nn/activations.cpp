@@ -6,21 +6,28 @@
 
 namespace rrambnn::nn {
 
-Tensor Relu::Forward(const Tensor& x, bool /*training*/) {
-  cached_input_ = x;
-  Tensor y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) {
-    if (y[i] < 0.0f) y[i] = 0.0f;
-  }
+namespace {
+
+/// y[i] = f(x[i]) through raw pointers: one pass, no copy-on-write checks.
+template <typename F>
+Tensor Map(const Tensor& x, F f) {
+  Tensor y(x.shape());
+  const float* src = x.data();
+  float* dst = y.data();
+  const std::int64_t n = x.size();
+  for (std::int64_t i = 0; i < n; ++i) dst[i] = f(src[i]);
   return y;
 }
 
+}  // namespace
+
+Tensor Relu::Forward(const Tensor& x, bool /*training*/) {
+  cached_input_ = x;
+  return Infer(x);
+}
+
 Tensor Relu::Infer(const Tensor& x) const {
-  Tensor y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) {
-    if (y[i] < 0.0f) y[i] = 0.0f;
-  }
-  return y;
+  return Map(x, [](float v) { return v < 0.0f ? 0.0f : v; });
 }
 
 Tensor Relu::Backward(const Tensor& grad_out) {
@@ -36,21 +43,12 @@ Tensor Relu::Backward(const Tensor& grad_out) {
 
 Tensor HardTanh::Forward(const Tensor& x, bool /*training*/) {
   cached_input_ = x;
-  Tensor y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) {
-    if (y[i] > 1.0f) y[i] = 1.0f;
-    if (y[i] < -1.0f) y[i] = -1.0f;
-  }
-  return y;
+  return Infer(x);
 }
 
 Tensor HardTanh::Infer(const Tensor& x) const {
-  Tensor y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) {
-    if (y[i] > 1.0f) y[i] = 1.0f;
-    if (y[i] < -1.0f) y[i] = -1.0f;
-  }
-  return y;
+  return Map(x,
+             [](float v) { return v > 1.0f ? 1.0f : v < -1.0f ? -1.0f : v; });
 }
 
 Tensor HardTanh::Backward(const Tensor& grad_out) {
@@ -67,16 +65,10 @@ Tensor HardTanh::Backward(const Tensor& grad_out) {
 
 Tensor SignSte::Forward(const Tensor& x, bool /*training*/) {
   cached_input_ = x;
-  Tensor y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) y[i] = SignBin(y[i]);
-  return y;
+  return Infer(x);
 }
 
-Tensor SignSte::Infer(const Tensor& x) const {
-  Tensor y = x;
-  for (std::int64_t i = 0; i < y.size(); ++i) y[i] = SignBin(y[i]);
-  return y;
-}
+Tensor SignSte::Infer(const Tensor& x) const { return SignBinarize(x); }
 
 Tensor SignSte::Backward(const Tensor& grad_out) {
   if (grad_out.shape() != cached_input_.shape()) {

@@ -127,16 +127,19 @@ Tensor BatchNorm::Forward(const Tensor& x, bool training) {
 Tensor BatchNorm::Infer(const Tensor& x) const {
   const Reduction r = MakeReduction(x.shape(), num_features_);
   Tensor y(x.shape());
+  const float* src = x.data();
+  float* dst = y.data();
   // Same arithmetic (and evaluation order) as the eval branch of Forward so
   // the outputs are bit-identical — only the Backward caches are skipped.
+  // The statistics stay unfolded: g * ((x - m) * inv_std) + b, not a
+  // precomputed scale and shift, which would round differently.
   for (std::int64_t f = 0; f < r.features; ++f) {
     const float inv_std = 1.0f / std::sqrt(running_var_[f] + options_.eps);
     const float g = gamma_.value[f], b = beta_.value[f], m = running_mean_[f];
     for (std::int64_t n = 0; n < r.batch; ++n) {
+      const std::int64_t base = r.Index(f, n, 0);
       for (std::int64_t s = 0; s < r.spatial; ++s) {
-        const std::int64_t i = r.Index(f, n, s);
-        const float xhat = (x[i] - m) * inv_std;
-        y[i] = g * xhat + b;
+        dst[base + s] = g * ((src[base + s] - m) * inv_std) + b;
       }
     }
   }

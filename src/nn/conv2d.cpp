@@ -9,7 +9,7 @@ namespace rrambnn::nn {
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                std::int64_t kernel_h, std::int64_t kernel_w, Rng& rng,
-               Conv2dOptions options)
+               const Conv2dOptions& options)
     : in_channels_(in_channels),
       out_channels_(out_channels),
       kernel_h_(kernel_h),
@@ -54,10 +54,7 @@ ConvGeometry Conv2d::GeometryFor(const Shape& sample_shape) const {
 }
 
 Tensor Conv2d::EffectiveWeight() const {
-  if (!options_.binary) return weight_.value;
-  Tensor w = weight_.value;
-  for (std::int64_t i = 0; i < w.size(); ++i) w[i] = SignBin(w[i]);
-  return w;
+  return options_.binary ? SignBinarize(weight_.value) : weight_.value;
 }
 
 Tensor Conv2d::Forward(const Tensor& x, bool /*training*/) {

@@ -27,9 +27,12 @@ struct Conv2dOptions {
 
 class Conv2d : public Layer {
  public:
+  /// `options` is taken by reference: GCC 12.2 at -O2 with AVX-512 enabled
+  /// (-march=native on such hosts) miscompiles passing this 40-byte
+  /// aggregate by value, storing its stride and pad fields as one splat.
   Conv2d(std::int64_t in_channels, std::int64_t out_channels,
          std::int64_t kernel_h, std::int64_t kernel_w, Rng& rng,
-         Conv2dOptions options = {});
+         const Conv2dOptions& options = {});
 
   Tensor Forward(const Tensor& x, bool training) override;
   Tensor Infer(const Tensor& x) const override;

@@ -28,19 +28,21 @@ Dense::Dense(std::int64_t in_features, std::int64_t out_features, Rng& rng,
 }
 
 Tensor Dense::EffectiveWeight() const {
-  if (!options_.binary) return weight_.value;
-  Tensor w = weight_.value;
-  for (std::int64_t i = 0; i < w.size(); ++i) w[i] = SignBin(w[i]);
-  return w;
+  return options_.binary ? SignBinarize(weight_.value) : weight_.value;
 }
 
 Tensor Dense::Forward(const Tensor& x, bool /*training*/) {
+  Tensor y = Infer(x);
+  cached_input_ = x;
+  return y;
+}
+
+Tensor Dense::Infer(const Tensor& x) const {
   if (x.rank() != 2 || x.dim(1) != in_features_) {
-    throw std::invalid_argument("Dense::Forward: expected [N, " +
+    throw std::invalid_argument("Dense: expected [N, " +
                                 std::to_string(in_features_) + "], got " +
                                 ShapeToString(x.shape()));
   }
-  cached_input_ = x;
   const std::int64_t n = x.dim(0);
   Tensor y({n, out_features_});
   const Tensor w_eff = EffectiveWeight();
@@ -48,33 +50,10 @@ Tensor Dense::Forward(const Tensor& x, bool /*training*/) {
   GemmTransBAccumulate(x.data(), w_eff.data(), y.data(), n, in_features_,
                        out_features_);
   if (options_.use_bias) {
+    const float* bias = bias_.value.data();
     for (std::int64_t i = 0; i < n; ++i) {
       float* row = y.data() + i * out_features_;
-      for (std::int64_t j = 0; j < out_features_; ++j) {
-        row[j] += bias_.value[j];
-      }
-    }
-  }
-  return y;
-}
-
-Tensor Dense::Infer(const Tensor& x) const {
-  if (x.rank() != 2 || x.dim(1) != in_features_) {
-    throw std::invalid_argument("Dense::Infer: expected [N, " +
-                                std::to_string(in_features_) + "], got " +
-                                ShapeToString(x.shape()));
-  }
-  const std::int64_t n = x.dim(0);
-  Tensor y({n, out_features_});
-  const Tensor w_eff = EffectiveWeight();
-  GemmTransBAccumulate(x.data(), w_eff.data(), y.data(), n, in_features_,
-                       out_features_);
-  if (options_.use_bias) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      float* row = y.data() + i * out_features_;
-      for (std::int64_t j = 0; j < out_features_; ++j) {
-        row[j] += bias_.value[j];
-      }
+      for (std::int64_t j = 0; j < out_features_; ++j) row[j] += bias[j];
     }
   }
   return y;

@@ -1,5 +1,6 @@
 #include "nn/depthwise_conv.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "nn/init.h"
@@ -8,7 +9,7 @@ namespace rrambnn::nn {
 
 DepthwiseConv2d::DepthwiseConv2d(std::int64_t channels, std::int64_t kernel_h,
                                  std::int64_t kernel_w, Rng& rng,
-                                 DepthwiseConv2dOptions options)
+                                 const DepthwiseConv2dOptions& options)
     : channels_(channels),
       kernel_h_(kernel_h),
       kernel_w_(kernel_w),
@@ -51,80 +52,51 @@ ConvGeometry DepthwiseConv2d::GeometryFor(const Shape& sample_shape) const {
 }
 
 Tensor DepthwiseConv2d::EffectiveWeight() const {
-  if (!options_.binary) return weight_.value;
-  Tensor w = weight_.value;
-  for (std::int64_t i = 0; i < w.size(); ++i) w[i] = SignBin(w[i]);
-  return w;
+  return options_.binary ? SignBinarize(weight_.value) : weight_.value;
 }
 
 Tensor DepthwiseConv2d::Forward(const Tensor& x, bool /*training*/) {
-  if (x.rank() != 4) {
-    throw std::invalid_argument(
-        "DepthwiseConv2d::Forward: expected [N, C, H, W]");
-  }
+  Tensor y = Infer(x);
   geom_ = GeometryFor({x.dim(1), x.dim(2), x.dim(3)});
   cached_input_ = x;
-  const std::int64_t n = x.dim(0);
-  const std::int64_t oh = geom_.OutH(), ow = geom_.OutW();
-  Tensor y({n, channels_, oh, ow});
-  const Tensor w_eff = EffectiveWeight();
-  for (std::int64_t s = 0; s < n; ++s) {
-    for (std::int64_t c = 0; c < channels_; ++c) {
-      const float* plane =
-          x.data() + (s * channels_ + c) * geom_.in_h * geom_.in_w;
-      const float* ker = w_eff.data() + c * kernel_h_ * kernel_w_;
-      float* out = y.data() + (s * channels_ + c) * oh * ow;
-      const float b = options_.use_bias ? bias_.value[c] : 0.0f;
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox) {
-          float acc = b;
-          for (std::int64_t ky = 0; ky < kernel_h_; ++ky) {
-            const std::int64_t iy = oy * geom_.stride_h + ky - geom_.pad_h;
-            if (iy < 0 || iy >= geom_.in_h) continue;
-            for (std::int64_t kx = 0; kx < kernel_w_; ++kx) {
-              const std::int64_t ix = ox * geom_.stride_w + kx - geom_.pad_w;
-              if (ix < 0 || ix >= geom_.in_w) continue;
-              acc += ker[ky * kernel_w_ + kx] * plane[iy * geom_.in_w + ix];
-            }
-          }
-          out[oy * ow + ox] = acc;
-        }
-      }
-    }
-  }
   return y;
 }
 
 Tensor DepthwiseConv2d::Infer(const Tensor& x) const {
   if (x.rank() != 4) {
-    throw std::invalid_argument(
-        "DepthwiseConv2d::Infer: expected [N, C, H, W]");
+    throw std::invalid_argument("DepthwiseConv2d: expected [N, C, H, W]");
   }
   const ConvGeometry geom = GeometryFor({x.dim(1), x.dim(2), x.dim(3)});
   const std::int64_t n = x.dim(0);
   const std::int64_t oh = geom.OutH(), ow = geom.OutW();
   Tensor y({n, channels_, oh, ow});
   const Tensor w_eff = EffectiveWeight();
+  const float* in = x.data();
+  float* out = y.data();
   for (std::int64_t s = 0; s < n; ++s) {
     for (std::int64_t c = 0; c < channels_; ++c) {
-      const float* plane =
-          x.data() + (s * channels_ + c) * geom.in_h * geom.in_w;
+      const float* plane = in + (s * channels_ + c) * geom.in_h * geom.in_w;
       const float* ker = w_eff.data() + c * kernel_h_ * kernel_w_;
-      float* out = y.data() + (s * channels_ + c) * oh * ow;
       const float b = options_.use_bias ? bias_.value[c] : 0.0f;
       for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox) {
+        // Only taps inside the plane contribute (padding taps are skipped),
+        // accumulated in (ky, kx) order.
+        const std::int64_t y0 = oy * geom.stride_h - geom.pad_h;
+        const std::int64_t ky_lo = std::max<std::int64_t>(0, -y0);
+        const std::int64_t ky_hi = std::min(kernel_h_, geom.in_h - y0);
+        for (std::int64_t ox = 0; ox < ow; ++ox, ++out) {
+          const std::int64_t x0 = ox * geom.stride_w - geom.pad_w;
+          const std::int64_t kx_lo = std::max<std::int64_t>(0, -x0);
+          const std::int64_t kx_hi = std::min(kernel_w_, geom.in_w - x0);
           float acc = b;
-          for (std::int64_t ky = 0; ky < kernel_h_; ++ky) {
-            const std::int64_t iy = oy * geom.stride_h + ky - geom.pad_h;
-            if (iy < 0 || iy >= geom.in_h) continue;
-            for (std::int64_t kx = 0; kx < kernel_w_; ++kx) {
-              const std::int64_t ix = ox * geom.stride_w + kx - geom.pad_w;
-              if (ix < 0 || ix >= geom.in_w) continue;
-              acc += ker[ky * kernel_w_ + kx] * plane[iy * geom.in_w + ix];
+          for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
+            const float* row = plane + (y0 + ky) * geom.in_w;
+            const float* kr = ker + ky * kernel_w_;
+            for (std::int64_t kx = kx_lo; kx < kx_hi; ++kx) {
+              acc += kr[kx] * row[x0 + kx];
             }
           }
-          out[oy * ow + ox] = acc;
+          *out = acc;
         }
       }
     }

@@ -24,9 +24,11 @@ struct DepthwiseConv2dOptions {
 
 class DepthwiseConv2d : public Layer {
  public:
+  /// `options` is taken by reference, as in Conv2d (a GCC 12.2 AVX-512
+  /// miscompile of passing it by value).
   DepthwiseConv2d(std::int64_t channels, std::int64_t kernel_h,
                   std::int64_t kernel_w, Rng& rng,
-                  DepthwiseConv2dOptions options = {});
+                  const DepthwiseConv2dOptions& options = {});
 
   Tensor Forward(const Tensor& x, bool training) override;
   Tensor Infer(const Tensor& x) const override;

@@ -1,6 +1,11 @@
 // Small GEMM kernels used by dense and (via im2col) convolutional layers.
-// Plain loops in ikj order with optional OpenMP over output rows; fast
-// enough for the scaled experiment sizes this library trains on a CPU.
+//
+// GemmAccumulate is the float conv hot path of inference. It is dispatched at
+// runtime: a register-tiled AVX2 kernel where the CPU has AVX2, otherwise the
+// plain ikj loop (with optional OpenMP over output rows). Both produce the
+// same bits: every C element receives its products in increasing k order,
+// each as a separate multiply then add, and rows of A skip exact-zero
+// entries. The transposed variants are training-only plain loops.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +15,14 @@ namespace rrambnn::nn {
 /// C[m,n] += A[m,k] * B[k,n]  (row-major, raw pointers; caller owns sizing).
 void GemmAccumulate(const float* a, const float* b, float* c, std::int64_t m,
                     std::int64_t k, std::int64_t n);
+
+/// Name of the GemmAccumulate kernel the runtime dispatcher selected
+/// ("avx2" or "scalar").
+const char* GemmKernelName();
+
+/// Forces the scalar GemmAccumulate kernel regardless of CPU support (tests
+/// compare the two). Returns the previous setting.
+bool SetGemmForceScalar(bool force);
 
 /// C[m,n] += A^T[k,m] * B[k,n] — A is stored [k,m].
 void GemmTransAAccumulate(const float* a, const float* b, float* c,

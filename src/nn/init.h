@@ -28,4 +28,15 @@ inline void HeNormal(Tensor& w, std::int64_t fan_in, Rng& rng) {
 /// the 2T2R encoding where a pair is always programmed LRS/HRS or HRS/LRS.
 inline float SignBin(float v) { return v >= 0.0f ? 1.0f : -1.0f; }
 
+/// Elementwise SignBin: the effective weights of a binary layer and the
+/// output of the Sign activation.
+inline Tensor SignBinarize(const Tensor& x) {
+  Tensor y(x.shape());
+  const float* src = x.data();
+  float* dst = y.data();
+  const std::int64_t n = x.size();
+  for (std::int64_t i = 0; i < n; ++i) dst[i] = SignBin(src[i]);
+  return y;
+}
+
 }  // namespace rrambnn::nn

@@ -1,5 +1,6 @@
 #include "nn/pool.h"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -90,40 +91,48 @@ Tensor Pool2d::Infer(const Tensor& x) const {
     throw std::invalid_argument("Pool2d::Infer: expected [N, C, H, W]");
   }
   const ConvGeometry geom = GeometryFor({x.dim(1), x.dim(2), x.dim(3)});
-  const std::int64_t oh = geom.OutH(), ow = geom.OutW();
+  const std::int64_t oh = geom.OutH(), ow = geom.OutW(), q = oh * ow;
   const std::int64_t planes = x.dim(0) * x.dim(1);
+  const std::int64_t in_w = geom.in_w, row_step = stride_h_ * in_w;
   Tensor y({x.dim(0), x.dim(1), oh, ow});
+  const float* in = x.data();
+  float* out = y.data();
 
-  const float inv_area = 1.0f / static_cast<float>(kernel_h_ * kernel_w_);
-  for (std::int64_t p = 0; p < planes; ++p) {
-    const float* plane = x.data() + p * geom.in_h * geom.in_w;
-    float* out = y.data() + p * oh * ow;
-    for (std::int64_t oy = 0; oy < oh; ++oy) {
-      for (std::int64_t ox = 0; ox < ow; ++ox) {
-        if (kind_ == PoolKind::kMax) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::int64_t ky = 0; ky < kernel_h_; ++ky) {
-            const std::int64_t iy = oy * stride_h_ + ky;
-            for (std::int64_t kx = 0; kx < kernel_w_; ++kx) {
-              const std::int64_t ix = ox * stride_w_ + kx;
-              const float v = plane[iy * geom.in_w + ix];
-              if (v > best) best = v;
+  // Folds the window into whole output planes one tap at a time, so the
+  // inner loops run across independent outputs; every output still takes
+  // its taps in (ky, kx) order, exactly as in Forward.
+  auto fold_taps = [&](float init, auto op) {
+    std::fill(out, out + planes * q, init);
+    for (std::int64_t p = 0; p < planes; ++p) {
+      const float* plane = in + p * geom.in_h * in_w;
+      float* o = out + p * q;
+      for (std::int64_t ky = 0; ky < kernel_h_; ++ky) {
+        for (std::int64_t kx = 0; kx < kernel_w_; ++kx) {
+          const float* tap = plane + ky * in_w + kx;
+          if (ow == 1) {  // ECG/EEG time pooling: one output per row
+            for (std::int64_t oy = 0; oy < oh; ++oy) {
+              o[oy] = op(o[oy], tap[oy * row_step]);
+            }
+            continue;
+          }
+          for (std::int64_t oy = 0; oy < oh; ++oy) {
+            const float* src = tap + oy * row_step;
+            float* dst = o + oy * ow;
+            for (std::int64_t ox = 0; ox < ow; ++ox) {
+              dst[ox] = op(dst[ox], src[ox * stride_w_]);
             }
           }
-          out[oy * ow + ox] = best;
-        } else {
-          float acc = 0.0f;
-          for (std::int64_t ky = 0; ky < kernel_h_; ++ky) {
-            const std::int64_t iy = oy * stride_h_ + ky;
-            for (std::int64_t kx = 0; kx < kernel_w_; ++kx) {
-              const std::int64_t ix = ox * stride_w_ + kx;
-              acc += plane[iy * geom.in_w + ix];
-            }
-          }
-          out[oy * ow + ox] = acc * inv_area;
         }
       }
     }
+  };
+  if (kind_ == PoolKind::kMax) {
+    fold_taps(-std::numeric_limits<float>::infinity(),
+              [](float best, float v) { return v > best ? v : best; });
+  } else {
+    fold_taps(0.0f, [](float acc, float v) { return acc + v; });
+    const float inv_area = 1.0f / static_cast<float>(kernel_h_ * kernel_w_);
+    for (std::int64_t i = 0; i < planes * q; ++i) out[i] *= inv_area;
   }
   return y;
 }
