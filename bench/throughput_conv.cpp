@@ -3,8 +3,9 @@
 // im2col) against the float nn::Sequential inference of the *same*
 // classifier — the number that justifies compiling conv networks instead of
 // serving them through the float layer chain. Also times each packed GEMM
-// stage in isolation (patch gather + XNOR-popcount) so the per-stage
-// breakdown shows where conv serving time goes. Emits machine-readable
+// and pool stage in isolation through the stage executor the program runs
+// (core::RunStageBatch) so the per-stage breakdown shows where conv serving
+// time goes. Emits machine-readable
 // BENCH_conv.json so the conv-serving trajectory is tracked from PR to PR.
 //
 // Usage: bench_throughput_conv [--smoke] [--out PATH]
@@ -160,70 +161,64 @@ int main(int argc, char** argv) {
                 static_cast<long long>(n), rps);
   }
 
-  // -- per-GEMM-stage breakdown: patch gather + XNOR-popcount GEMM ---------
-  // (pool/reshape/sign stages are bit shuffles with negligible cost).
+  // -- per-stage breakdown: the stage executor ScoresBatch runs -------------
+  // Hidden GEMM and pool stages through core::RunStageBatch (the fused
+  // gather + XNOR-popcount + threshold pass); the output stage through the
+  // XNOR-popcount GEMM that precedes its float affine. Reshape/sign stages
+  // move no bits.
   struct StageResult {
     std::string label;
     double rows_per_sec;
   };
   std::vector<StageResult> stage_results;
   for (const core::ProgramStage& stage : program.stages()) {
-    if (stage.kind != core::StageKind::kPackedGemm) continue;
+    if (stage.kind != core::StageKind::kPackedGemm &&
+        stage.kind != core::StageKind::kPool) {
+      continue;
+    }
+    const bool pool = stage.kind == core::StageKind::kPool;
     const core::PackedGemmStage& gemm = stage.gemm;
+    const core::StageGeometry& g = pool ? stage.pool.geom : gemm.geom;
+    const std::int64_t in_bits =
+        pool ? g.in_channels * g.in_h * g.in_w : gemm.in_bits();
     // Random packed input batch of this stage's input width.
-    core::BitMatrix stage_in(n, gemm.in_bits());
+    core::BitMatrix stage_in(n, in_bits);
     for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t j = 0; j < gemm.in_bits(); ++j) {
+      for (std::int64_t j = 0; j < in_bits; ++j) {
         stage_in.Set(i, j, rng.Bernoulli(0.5) ? +1 : -1);
       }
     }
     std::vector<std::int32_t> pops;
-    std::string label;
     double rps = 0.0;
-    switch (gemm.lowering) {
-      case core::GemmLowering::kConv: {
-        label = "stage:conv";
-        rps = MeasureRowsPerSec(n, min_seconds, [&] {
-          const core::BitMatrix patches = core::BuildPatchMatrix(
-              stage_in, gemm.geom, 0, gemm.geom.in_channels);
-          core::XnorPopcountGemm(patches, gemm.weights, pops);
-        });
-        break;
-      }
-      case core::GemmLowering::kDepthwise: {
-        label = "stage:depthwise";
-        // One weight row per channel: patch-gather channel c and popcount
-        // it against row c only.
-        std::vector<core::BitMatrix> rows;
-        for (std::int64_t c = 0; c < gemm.geom.in_channels; ++c) {
-          core::BitMatrix row(1, gemm.geom.ChannelPatchSize());
-          for (std::int64_t j = 0; j < gemm.geom.ChannelPatchSize(); ++j) {
-            row.Set(0, j, gemm.weights.Get(c, j));
-          }
-          rows.push_back(std::move(row));
-        }
-        rps = MeasureRowsPerSec(n, min_seconds, [&] {
-          for (std::int64_t c = 0; c < gemm.geom.in_channels; ++c) {
-            const core::BitMatrix patches =
-                core::BuildPatchMatrix(stage_in, gemm.geom, c, c + 1);
-            core::XnorPopcountGemm(patches, rows[static_cast<std::size_t>(c)],
-                                   pops);
-          }
-        });
-        break;
-      }
-      case core::GemmLowering::kDense: {
-        label = "stage:dense";
-        rps = MeasureRowsPerSec(n, min_seconds, [&] {
-          core::XnorPopcountGemm(stage_in, gemm.weights, pops);
-        });
-        break;
+    if (!pool && gemm.is_output) {
+      rps = MeasureRowsPerSec(n, min_seconds, [&] {
+        core::XnorPopcountGemm(stage_in, gemm.weights, pops);
+      });
+    } else {
+      rps = MeasureRowsPerSec(n, min_seconds, [&] {
+        (void)core::RunStageBatch(stage, stage_in);
+      });
+    }
+    std::string label = "stage:";
+    if (pool) {
+      label += "pool";
+    } else {
+      switch (gemm.lowering) {
+        case core::GemmLowering::kConv:
+          label += "conv";
+          break;
+        case core::GemmLowering::kDepthwise:
+          label += "depthwise";
+          break;
+        case core::GemmLowering::kDense:
+          label += "dense";
+          break;
       }
     }
     char dims[64];
     std::snprintf(dims, sizeof(dims), " %lld->%lld",
-                  static_cast<long long>(gemm.in_bits()),
-                  static_cast<long long>(gemm.out_bits()));
+                  static_cast<long long>(in_bits),
+                  static_cast<long long>(stage.out_shape.bits()));
     label += dims;
     stage_results.push_back({label, rps});
     std::printf("%-28s          %12.0f rows/s\n", label.c_str(), rps);

@@ -23,6 +23,17 @@ using GemmKernel = void (*)(const std::uint64_t* x, std::int64_t n,
                             const std::uint64_t* w, std::int64_t m,
                             std::int64_t wpr, std::int32_t* out);
 
+/// Full-word XNOR-popcount of two packed rows of `wpr` words.
+[[gnu::always_inline]] inline std::int64_t XnorCount(const std::uint64_t* a,
+                                                     const std::uint64_t* b,
+                                                     std::int64_t wpr) {
+  std::int64_t count = 0;
+  for (std::int64_t k = 0; k < wpr; ++k) count += std::popcount(~(a[k] ^ b[k]));
+  return count;
+}
+
+// Portable kernels. Without -mpopcnt, std::popcount is a libgcc call; these
+// are the fallback and the reference the hardware kernels must equal.
 void GemmScalar(const std::uint64_t* x, std::int64_t n, const std::uint64_t* w,
                 std::int64_t m, std::int64_t wpr, std::int32_t* out) {
   for (std::int64_t w0 = 0; w0 < wpr; w0 += kWordBlock) {
@@ -46,6 +57,25 @@ void GemmScalar(const std::uint64_t* x, std::int64_t n, const std::uint64_t* w,
       }
     }
   }
+}
+
+/// out[j] = XnorCount(x + j * x_stride, w + j * wpr): the XnorRowsKernel
+/// contract, inlined into a portable and a POPCNT-compiled kernel.
+[[gnu::always_inline]] inline void RowsWords(const std::uint64_t* x,
+                                             std::int64_t x_stride,
+                                             const std::uint64_t* w,
+                                             std::int64_t m, std::int64_t wpr,
+                                             std::int32_t* out) {
+  for (std::int64_t j = 0; j < m; ++j) {
+    out[j] = static_cast<std::int32_t>(
+        XnorCount(x + j * x_stride, w + j * wpr, wpr));
+  }
+}
+
+void RowsScalar(const std::uint64_t* x, std::int64_t x_stride,
+                const std::uint64_t* w, std::int64_t m, std::int64_t wpr,
+                std::int32_t* out) {
+  RowsWords(x, x_stride, w, m, wpr, out);
 }
 
 #ifdef RRAMBNN_BITGEMM_X86
@@ -99,7 +129,29 @@ __attribute__((target("avx2"))) void GemmAvx2(const std::uint64_t* x,
   }
 }
 
-bool CpuHasAvx2() { return __builtin_cpu_supports("avx2"); }
+// Plain loops compiled for the hardware POPCNT instruction. The GEMM form
+// serves rows narrower than one AVX2 vector (wpr < 4), where GemmAvx2 would
+// only pay for an accumulator it never fills and word blocking buys
+// nothing.
+__attribute__((target("popcnt"))) void GemmPopcnt(
+    const std::uint64_t* x, std::int64_t n, const std::uint64_t* w,
+    std::int64_t m, std::int64_t wpr, std::int32_t* out) {
+  for (std::int64_t i = 0; i < n; ++i, x += wpr, out += m) {
+    for (std::int64_t j = 0; j < m; ++j) {
+      out[j] += static_cast<std::int32_t>(XnorCount(x, w + j * wpr, wpr));
+    }
+  }
+}
+
+__attribute__((target("popcnt"))) void RowsPopcnt(
+    const std::uint64_t* x, std::int64_t x_stride, const std::uint64_t* w,
+    std::int64_t m, std::int64_t wpr, std::int32_t* out) {
+  RowsWords(x, x_stride, w, m, wpr, out);
+}
+
+bool CpuHasAvx2() {
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt");
+}
 
 #else
 
@@ -109,13 +161,18 @@ bool CpuHasAvx2() { return false; }
 
 std::atomic<bool> g_force_scalar{false};
 
-GemmKernel ActiveKernel() {
-#ifdef RRAMBNN_BITGEMM_X86
+/// True when the hardware kernels may run (the CPU has AVX2 and POPCNT and
+/// no test forced the scalar path).
+bool UseHardwareKernels() {
   static const bool has_avx2 = CpuHasAvx2();
-  if (has_avx2 && !g_force_scalar.load(std::memory_order_relaxed)) {
-    return GemmAvx2;
-  }
+  return has_avx2 && !g_force_scalar.load(std::memory_order_relaxed);
+}
+
+GemmKernel ActiveKernel(std::int64_t wpr) {
+#ifdef RRAMBNN_BITGEMM_X86
+  if (UseHardwareKernels()) return wpr < 4 ? GemmPopcnt : GemmAvx2;
 #endif
+  (void)wpr;
   return GemmScalar;
 }
 
@@ -133,15 +190,19 @@ void XnorPopcountGemm(const BitMatrix& x, const BitMatrix& w,
   out.assign(static_cast<std::size_t>(n * m),
              static_cast<std::int32_t>(x.cols() - wpr * 64));
   if (n == 0 || m == 0 || wpr == 0) return;
-  ActiveKernel()(x.RowWords(0).data(), n, w.RowWords(0).data(), m, wpr,
-                 out.data());
+  ActiveKernel(wpr)(x.RowWords(0).data(), n, w.RowWords(0).data(), m, wpr,
+                    out.data());
+}
+
+XnorRowsKernel SelectXnorRowsKernel() {
+#ifdef RRAMBNN_BITGEMM_X86
+  if (UseHardwareKernels()) return RowsPopcnt;
+#endif
+  return RowsScalar;
 }
 
 const char* XnorGemmKernelName() {
-  if (CpuHasAvx2() && !g_force_scalar.load(std::memory_order_relaxed)) {
-    return "avx2";
-  }
-  return "scalar";
+  return UseHardwareKernels() ? "avx2" : "scalar";
 }
 
 bool SetXnorGemmForceScalar(bool force) {

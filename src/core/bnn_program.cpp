@@ -20,15 +20,14 @@ namespace {
 // source and two destination words.
 
 /// Bits [bit, bit + len) of `words` as the low bits of a word; len in
-/// [1, 64], bit + len must not exceed the span's bit capacity.
-std::uint64_t ExtractField(std::span<const std::uint64_t> words,
-                           std::int64_t bit, int len) {
+/// [1, 64], bit + len must not exceed the array's bit capacity.
+std::uint64_t ExtractField(const std::uint64_t* words, std::int64_t bit,
+                           int len) {
   const auto w = static_cast<std::size_t>(bit >> 6);
   const int off = static_cast<int>(bit & 63);
   std::uint64_t v = words[w] >> off;
   if (off + len > 64) v |= words[w + 1] << (64 - off);
-  if (len == 64) return v;
-  return v & ((std::uint64_t{1} << len) - 1);
+  return v & (~std::uint64_t{0} >> (64 - len));
 }
 
 /// ORs the low `len` bits of `value` into `words` at bit offset `bit`.
@@ -45,7 +44,7 @@ void DepositField(std::uint64_t* words, std::int64_t bit, int len,
 /// [c_begin, c_end) from one packed CHW activation row into `dst`
 /// (pre-zeroed; patch bit layout (c - c_begin)*kh*kw + ky*kw + kx).
 /// Out-of-range padded taps are left as bit 0 (-1).
-void GatherPatch(std::span<const std::uint64_t> src, const StageGeometry& g,
+void GatherPatch(const std::uint64_t* src, const StageGeometry& g,
                  std::int64_t c_begin, std::int64_t c_end, std::int64_t oy,
                  std::int64_t ox, std::uint64_t* dst) {
   const std::int64_t h = g.in_h, w = g.in_w;
@@ -75,32 +74,6 @@ std::int32_t StageThreshold(const PackedGemmStage& g, std::int64_t unit,
           ? static_cast<std::size_t>(unit * g.num_patches() + patch)
           : static_cast<std::size_t>(unit);
   return g.thresholds[idx];
-}
-
-/// Max pooling over {-1,+1} bits: a window is +1 iff any bit is set, i.e.
-/// any extracted kernel-row field is nonzero. Pooling has no padding, so
-/// every window lies fully inside the input.
-BitMatrix PoolBatch(const BitMatrix& batch, const StageGeometry& g) {
-  const std::int64_t c_n = g.in_channels, h = g.in_h, w = g.in_w;
-  const std::int64_t oh = g.OutH(), ow = g.OutW();
-  BitMatrix out(batch.rows(), c_n * oh * ow);
-  for (std::int64_t i = 0; i < batch.rows(); ++i) {
-    const std::span<const std::uint64_t> src = batch.RowWords(i);
-    for (std::int64_t c = 0; c < c_n; ++c) {
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox) {
-          bool any = false;
-          for (std::int64_t ky = 0; ky < g.kernel_h && !any; ++ky) {
-            const std::int64_t iy = oy * g.stride_h + ky;
-            any = ExtractField(src, c * h * w + iy * w + ox * g.stride_w,
-                               static_cast<int>(g.kernel_w)) != 0;
-          }
-          if (any) out.Set(i, c * oh * ow + oy * ow + ox, +1);
-        }
-      }
-    }
-  }
-  return out;
 }
 
 BitVector PoolRow(const BitVector& x, const StageGeometry& g) {
@@ -133,7 +106,7 @@ BitVector GatherPatchVector(const BitVector& x, const StageGeometry& g,
       (c_end - c_begin) * g.kernel_h * g.kernel_w;
   std::vector<std::uint64_t> words(
       static_cast<std::size_t>((patch_bits + 63) / 64), 0);
-  GatherPatch(x.words(), g, c_begin, c_end, oy, ox, words.data());
+  GatherPatch(x.words().data(), g, c_begin, c_end, oy, ox, words.data());
   return BitMatrix::FromWords(1, patch_bits, std::move(words)).Row(0);
 }
 
@@ -162,6 +135,266 @@ class WeightPopcounter final : public StagePopcounter {
   const std::vector<const BitMatrix*> weights_;
 };
 
+// -- Batched stage executor -------------------------------------------------
+//
+// ScoresBatch runs every hidden stage as one pass that builds packed output
+// words directly: no per-bit BitMatrix::Set, no materialized patch matrix.
+// Each stage produces exactly the popcounts of the reference kernels
+// (BuildPatchMatrix + XnorPopcountGemm), so every output bit is unchanged.
+
+/// Appends bit fields to a word array from low to high bits, holding the
+/// partial word in a register. Every bit past the last Put is zero once
+/// Flush has written the partial word.
+class BitWriter {
+ public:
+  explicit BitWriter(std::uint64_t* out) : out_(out) {}
+
+  /// Appends the low `len` bits of `v`; len in [1, 64] and no higher bit of
+  /// `v` may be set.
+  void Put(std::uint64_t v, int len) {
+    cur_ |= v << fill_;
+    fill_ += len;
+    if (fill_ >= 64) {
+      *out_++ = cur_;
+      fill_ -= 64;
+      cur_ = fill_ != 0 ? v >> (len - fill_) : 0;
+    }
+  }
+
+  void PutZeros(std::int64_t len) {
+    for (; len > 0; len -= 64) {
+      Put(0, static_cast<int>(std::min<std::int64_t>(len, 64)));
+    }
+  }
+
+  void Flush() {
+    if (fill_ != 0) *out_++ = cur_;
+    cur_ = 0;
+    fill_ = 0;
+  }
+
+ private:
+  std::uint64_t* out_;
+  std::uint64_t cur_ = 0;
+  int fill_ = 0;
+};
+
+/// Throws unless `in` and `w` have the shapes the stage's raw word indexing
+/// assumes (a substrate of the wrong shape, or an unvalidated program).
+void CheckStageOperands(const ProgramStage& stage, const BitMatrix& in,
+                        const BitMatrix* w) {
+  auto fail = [](const char* why) {
+    throw std::invalid_argument(std::string("BnnProgram: ") + why);
+  };
+  const bool gemm = stage.kind == StageKind::kPackedGemm;
+  const StageGeometry& g = gemm ? stage.gemm.geom : stage.pool.geom;
+  const bool spatial = !gemm || stage.gemm.lowering != GemmLowering::kDense;
+  if (spatial &&
+      (g.kernel_h < 1 || g.kernel_w < 1 || g.kernel_w > 64 || g.stride_h < 1 ||
+       g.stride_w < 1 || g.pad_h < 0 || g.pad_w < 0 || g.OutH() < 1 ||
+       g.OutW() < 1 || (!gemm && g.padded()))) {
+    fail("stage geometry is not executable");
+  }
+  if (!gemm) {
+    if (in.cols() != g.in_channels * g.in_h * g.in_w) {
+      fail("pool input width mismatch");
+    }
+    return;
+  }
+  const PackedGemmStage& s = stage.gemm;
+  if (in.cols() != s.in_bits()) fail("stage input width mismatch");
+  if (w->rows() != s.units() || w->cols() != s.weights.cols()) {
+    fail("substrate weight shape mismatch");
+  }
+  if ((s.lowering == GemmLowering::kConv && w->cols() != g.PatchSize()) ||
+      (s.lowering == GemmLowering::kDepthwise &&
+       (s.units() != g.in_channels || w->cols() != g.ChannelPatchSize()))) {
+    fail("stage weight shape does not match its geometry");
+  }
+  const std::int64_t thresholds =
+      s.per_pixel_thresholds ? s.units() * s.num_patches() : s.units();
+  if (static_cast<std::int64_t>(s.thresholds.size()) != thresholds) {
+    fail("stage threshold count mismatch");
+  }
+}
+
+/// Per weight row: the substrate bias minus the XNOR ones of the final
+/// word's zero padding, so raw full-word counts compare against thresholds.
+std::vector<std::int32_t> PopAdjust(std::int64_t units, const BitMatrix& w,
+                                    const std::int32_t* bias) {
+  const auto pad_ones =
+      static_cast<std::int32_t>(w.words_per_row() * 64 - w.cols());
+  std::vector<std::int32_t> adjust(static_cast<std::size_t>(units));
+  for (std::int64_t u = 0; u < units; ++u) {
+    adjust[static_cast<std::size_t>(u)] = (bias ? bias[u] : 0) - pad_ones;
+  }
+  return adjust;
+}
+
+/// Hidden dense stage: one XNOR-popcount GEMM, then each sample's threshold
+/// bits ORed straight into its output words.
+BitMatrix DenseStageBatch(const PackedGemmStage& g, const BitMatrix& in,
+                          const BitMatrix& w, const std::int32_t* bias) {
+  const std::int64_t n = in.rows(), units = g.units();
+  const std::int64_t out_wpr = (units + 63) / 64;
+  std::vector<std::int32_t> pops;
+  XnorPopcountGemm(in, w, pops);
+  std::vector<std::uint64_t> out(static_cast<std::size_t>(n * out_wpr), 0);
+  const std::int32_t* thr = g.thresholds.data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int32_t* row = pops.data() + i * units;
+    std::uint64_t* dst = out.data() + i * out_wpr;
+    for (std::int64_t u = 0; u < units; ++u) {
+      const std::int32_t count = row[u] + (bias ? bias[u] : 0);
+      dst[u >> 6] |= std::uint64_t{count >= thr[u]} << (u & 63);
+    }
+  }
+  return BitMatrix::FromWords(n, units, std::move(out));
+}
+
+/// Zero-padded copy of one packed CHW sample: padded row y of channel c
+/// (pad_w zero bits, input row y - pad_h or zeros, pad_w zero bits) starts
+/// at word (c * padded_h + y) * row_words, so every kernel-row field of
+/// every output pixel is a shift and mask of one or two words, with no
+/// bounds checks.
+void StagePaddedPlanes(const std::uint64_t* src, const StageGeometry& g,
+                       std::int64_t padded_h, std::int64_t row_words,
+                       std::uint64_t* dst) {
+  const std::int64_t h = g.in_h, w = g.in_w;
+  for (std::int64_t c = 0; c < g.in_channels; ++c) {
+    for (std::int64_t y = 0; y < padded_h; ++y, dst += row_words) {
+      const std::int64_t iy = y - g.pad_h;
+      if (iy < 0 || iy >= h) {
+        std::fill(dst, dst + row_words, std::uint64_t{0});
+        continue;
+      }
+      BitWriter row(dst);
+      row.PutZeros(g.pad_w);
+      const std::int64_t base = (c * h + iy) * w;
+      for (std::int64_t x = 0; x < w; x += 64) {
+        const int len = static_cast<int>(std::min<std::int64_t>(w - x, 64));
+        row.Put(ExtractField(src, base + x, len), len);
+      }
+      row.PutZeros(g.pad_w);
+      row.Flush();
+    }
+  }
+}
+
+/// Fused kConv / kDepthwise stage. Per sample the padded input planes are
+/// staged once. Each output pixel's patches are then assembled in registers,
+/// one field per channel and kernel row in BuildPatchMatrix's bit order
+/// (c*kh*kw + ky*kw + kx): a conv pixel has one patch over all channels that
+/// meets every weight row, a depthwise pixel one patch per channel that
+/// meets only its own row. Each popcount is thresholded and ORed into the
+/// output word of bit u * patches + p.
+BitMatrix ConvStageBatch(const PackedGemmStage& g, const BitMatrix& in,
+                         const BitMatrix& w, const std::int32_t* bias) {
+  const StageGeometry& geo = g.geom;
+  const bool depthwise = g.lowering == GemmLowering::kDepthwise;
+  const std::int64_t n = in.rows(), units = g.units();
+  const std::int64_t c_n = geo.in_channels, kh = geo.kernel_h;
+  const std::int64_t groups = depthwise ? c_n : 1;
+  const std::int64_t group_channels = depthwise ? 1 : c_n;
+  const int kw = static_cast<int>(geo.kernel_w);
+  const std::uint64_t field_mask = ~std::uint64_t{0} >> (64 - kw);
+  const std::int64_t oh = geo.OutH(), ow = geo.OutW(), patches = oh * ow;
+  const std::int64_t padded_h = geo.in_h + 2 * geo.pad_h;
+  const std::int64_t row_words = (geo.in_w + 2 * geo.pad_w + 63) / 64;
+  const std::int64_t plane_words = padded_h * row_words;
+  const std::int64_t wpr = w.words_per_row();
+  const std::int64_t out_wpr = (units * patches + 63) / 64;
+
+  const std::vector<std::int32_t> adjust = PopAdjust(units, w, bias);
+  // Threshold of (unit u, pixel p) at thr[u * thr_unit + p * thr_pixel].
+  const std::int32_t* thr = g.thresholds.data();
+  const std::int64_t thr_unit = g.per_pixel_thresholds ? patches : 1;
+  const std::int64_t thr_pixel = g.per_pixel_thresholds ? 1 : 0;
+  const std::uint64_t* weights = w.words().data();
+  const XnorRowsKernel popcount = SelectXnorRowsKernel();
+
+  std::vector<std::uint64_t> out(static_cast<std::size_t>(n * out_wpr), 0);
+  std::vector<std::uint64_t> planes(
+      static_cast<std::size_t>(c_n * plane_words));
+  std::vector<std::uint64_t> patch(static_cast<std::size_t>(groups * wpr));
+  std::vector<std::int32_t> pops(static_cast<std::size_t>(units));
+  for (std::int64_t i = 0; i < n; ++i) {
+    StagePaddedPlanes(in.RowWords(i).data(), geo, padded_h, row_words,
+                      planes.data());
+    std::uint64_t* dst = out.data() + i * out_wpr;
+    for (std::int64_t oy = 0, p = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox, ++p) {
+        // Every field of this pixel starts at padded column x0 of its row,
+        // so the word, bit offset and two-word straddle are shared.
+        const std::int64_t x0 = ox * geo.stride_w;
+        const std::uint64_t* top =
+            planes.data() + oy * geo.stride_h * row_words + (x0 >> 6);
+        const int off = static_cast<int>(x0 & 63);
+        const bool straddles = off + kw > 64;
+        for (std::int64_t grp = 0; grp < groups; ++grp) {
+          BitWriter bits(patch.data() + grp * wpr);
+          for (std::int64_t c = grp * group_channels;
+               c < (grp + 1) * group_channels; ++c) {
+            const std::uint64_t* row = top + c * plane_words;
+            for (std::int64_t ky = 0; ky < kh; ++ky, row += row_words) {
+              std::uint64_t v = row[0] >> off;
+              if (straddles) v |= row[1] << (64 - off);
+              bits.Put(v & field_mask, kw);
+            }
+          }
+          bits.Flush();
+        }
+        popcount(patch.data(), depthwise ? wpr : 0, weights, units, wpr,
+                 pops.data());
+        const std::int32_t* t = thr + p * thr_pixel;
+        for (std::int64_t u = 0, bit = p; u < units;
+             ++u, bit += patches, t += thr_unit) {
+          const std::int32_t count = pops[static_cast<std::size_t>(u)] +
+                                     adjust[static_cast<std::size_t>(u)];
+          dst[bit >> 6] |= std::uint64_t{count >= *t} << (bit & 63);
+        }
+      }
+    }
+  }
+  return BitMatrix::FromWords(n, units * patches, std::move(out));
+}
+
+/// Max pooling over {-1,+1} bits: a window is +1 iff any of its bits is
+/// set. Per output row the window's kernel_h input rows are ORed into one
+/// word-aligned row, then each output bit tests one field of it. Pooling
+/// has no padding, so every window lies inside the input; output bits are
+/// appended in CHW order.
+BitMatrix PoolStageBatch(const StageGeometry& g, const BitMatrix& in) {
+  const std::int64_t c_n = g.in_channels, h = g.in_h, w = g.in_w;
+  const std::int64_t oh = g.OutH(), ow = g.OutW();
+  const int kw = static_cast<int>(g.kernel_w);
+  const std::int64_t out_wpr = (c_n * oh * ow + 63) / 64;
+  std::vector<std::uint64_t> out(static_cast<std::size_t>(in.rows() * out_wpr));
+  std::vector<std::uint64_t> any(static_cast<std::size_t>((w + 63) / 64));
+  for (std::int64_t i = 0; i < in.rows(); ++i) {
+    const std::uint64_t* src = in.RowWords(i).data();
+    BitWriter bits(out.data() + i * out_wpr);
+    for (std::int64_t c = 0; c < c_n; ++c) {
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        std::fill(any.begin(), any.end(), std::uint64_t{0});
+        for (std::int64_t ky = 0; ky < g.kernel_h; ++ky) {
+          const std::int64_t base = (c * h + oy * g.stride_h + ky) * w;
+          for (std::int64_t x = 0; x < w; x += 64) {
+            const int len = static_cast<int>(std::min<std::int64_t>(w - x, 64));
+            any[static_cast<std::size_t>(x >> 6)] |=
+                ExtractField(src, base + x, len);
+          }
+        }
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          bits.Put(ExtractField(any.data(), ox * g.stride_w, kw) != 0, 1);
+        }
+      }
+    }
+    bits.Flush();
+  }
+  return BitMatrix::FromWords(in.rows(), c_n * oh * ow, std::move(out));
+}
+
 }  // namespace
 
 BitMatrix BuildPatchMatrix(const BitMatrix& batch, const StageGeometry& geom,
@@ -185,7 +418,7 @@ BitMatrix BuildPatchMatrix(const BitMatrix& batch, const StageGeometry& geom,
   std::vector<std::uint64_t> words(static_cast<std::size_t>(n * patches * wpr),
                                    0);
   for (std::int64_t i = 0; i < n; ++i) {
-    const std::span<const std::uint64_t> src = batch.RowWords(i);
+    const std::uint64_t* src = batch.RowWords(i).data();
     std::uint64_t* dst = words.data() + i * patches * wpr;
     for (std::int64_t oy = 0; oy < oh; ++oy) {
       for (std::int64_t ox = 0; ox < ow; ++ox, dst += wpr) {
@@ -364,6 +597,31 @@ std::vector<float> BnnProgram::ScoresWith(const BitVector& x,
   throw std::invalid_argument("BnnProgram: program has no output stage");
 }
 
+BitMatrix RunStageBatch(const ProgramStage& stage, const BitMatrix& batch,
+                        const StageSubstrate& substrate) {
+  switch (stage.kind) {
+    case StageKind::kPackedGemm: {
+      const PackedGemmStage& g = stage.gemm;
+      if (g.is_output) {
+        throw std::invalid_argument(
+            "RunStageBatch: the output stage produces scores, not bits");
+      }
+      const BitMatrix& w = substrate.weights ? *substrate.weights : g.weights;
+      CheckStageOperands(stage, batch, &w);
+      return g.lowering == GemmLowering::kDense
+                 ? DenseStageBatch(g, batch, w, substrate.pop_bias)
+                 : ConvStageBatch(g, batch, w, substrate.pop_bias);
+    }
+    case StageKind::kPool:
+      CheckStageOperands(stage, batch, nullptr);
+      return PoolStageBatch(stage.pool.geom, batch);
+    case StageKind::kReshape:
+    case StageKind::kSign:
+      break;
+  }
+  return batch;
+}
+
 std::vector<float> BnnProgram::ScoresBatch(
     const BitMatrix& batch, std::span<const StageSubstrate> substrates) const {
   if (batch.cols() != input_size()) {
@@ -375,103 +633,45 @@ std::vector<float> BnnProgram::ScoresBatch(
   const std::int64_t n = batch.rows();
   const BitMatrix* cur = &batch;
   BitMatrix act;
-  std::vector<std::int32_t> pops;  // shared popcount scratch across stages
   std::size_t gi = 0;
   for (const ProgramStage& stage : stages_) {
-    switch (stage.kind) {
-      case StageKind::kPackedGemm: {
-        const PackedGemmStage& g = stage.gemm;
-        const BitMatrix* w = &g.weights;
-        const std::int32_t* bias = nullptr;
-        if (!substrates.empty()) {
-          w = substrates[gi].weights;
-          bias = substrates[gi].pop_bias;
-        }
-        const std::int64_t units = g.units();
-        if (g.is_output) {
-          XnorPopcountGemm(*cur, *w, pops);
-          std::vector<float> scores(static_cast<std::size_t>(n * units));
-          for (std::int64_t i = 0; i < n; ++i) {
-            const std::int32_t* row = pops.data() + i * units;
-            float* out = scores.data() + i * units;
-            for (std::int64_t k = 0; k < units; ++k) {
-              // Same int -> float conversion and affine as the per-row path
-              // and the mapper's snapshot path, so floats are bit-identical.
-              const std::int64_t count =
-                  static_cast<std::int64_t>(row[k]) + (bias ? bias[k] : 0);
-              const auto dot =
-                  static_cast<float>(2 * count - g.weights.cols());
-              out[k] = g.scale[static_cast<std::size_t>(k)] * dot +
-                       g.offset[static_cast<std::size_t>(k)];
-            }
-          }
-          return scores;
-        }
-        BitMatrix next(n, g.out_bits());
-        switch (g.lowering) {
-          case GemmLowering::kDense: {
-            XnorPopcountGemm(*cur, *w, pops);
-            for (std::int64_t i = 0; i < n; ++i) {
-              const std::int32_t* row = pops.data() + i * units;
-              for (std::int64_t u = 0; u < units; ++u) {
-                if (row[u] + (bias ? bias[u] : 0) >=
-                    g.thresholds[static_cast<std::size_t>(u)]) {
-                  next.Set(i, u, +1);
-                }
-              }
-            }
-            break;
-          }
-          case GemmLowering::kConv: {
-            const std::int64_t patches = g.num_patches();
-            const BitMatrix im2col =
-                BuildPatchMatrix(*cur, g.geom, 0, g.geom.in_channels);
-            XnorPopcountGemm(im2col, *w, pops);
-            for (std::int64_t i = 0; i < n; ++i) {
-              for (std::int64_t p = 0; p < patches; ++p) {
-                const std::int32_t* row = pops.data() + (i * patches + p) * units;
-                for (std::int64_t u = 0; u < units; ++u) {
-                  if (row[u] + (bias ? bias[u] : 0) >=
-                      StageThreshold(g, u, p)) {
-                    next.Set(i, u * patches + p, +1);
-                  }
-                }
-              }
-            }
-            break;
-          }
-          case GemmLowering::kDepthwise: {
-            const std::int64_t patches = g.num_patches();
-            for (std::int64_t c = 0; c < units; ++c) {
-              const BitMatrix im2col = BuildPatchMatrix(*cur, g.geom, c, c + 1);
-              const BitMatrix w_row = w->RowSlice(c, c + 1);
-              XnorPopcountGemm(im2col, w_row, pops);
-              const std::int32_t b = bias ? bias[c] : 0;
-              for (std::int64_t i = 0; i < n; ++i) {
-                for (std::int64_t p = 0; p < patches; ++p) {
-                  if (pops[static_cast<std::size_t>(i * patches + p)] + b >=
-                      StageThreshold(g, c, p)) {
-                    next.Set(i, c * patches + p, +1);
-                  }
-                }
-              }
-            }
-            break;
-          }
-        }
-        act = std::move(next);
-        cur = &act;
-        ++gi;
-        break;
-      }
-      case StageKind::kPool:
-        act = PoolBatch(*cur, stage.pool.geom);
-        cur = &act;
-        break;
-      case StageKind::kReshape:
-      case StageKind::kSign:
-        break;
+    if (stage.kind == StageKind::kReshape || stage.kind == StageKind::kSign) {
+      continue;
     }
+    StageSubstrate sub;
+    if (stage.kind == StageKind::kPackedGemm && !substrates.empty()) {
+      sub = substrates[gi];
+    }
+    if (stage.kind == StageKind::kPackedGemm && stage.gemm.is_output) {
+      const PackedGemmStage& g = stage.gemm;
+      const BitMatrix& w = sub.weights ? *sub.weights : g.weights;
+      const std::int32_t* bias = sub.pop_bias;
+      const std::int64_t units = g.units();
+      if (w.rows() != units) {
+        throw std::invalid_argument(
+            "BnnProgram: substrate weight shape mismatch");
+      }
+      std::vector<std::int32_t> pops;
+      XnorPopcountGemm(*cur, w, pops);
+      std::vector<float> scores(static_cast<std::size_t>(n * units));
+      for (std::int64_t i = 0; i < n; ++i) {
+        const std::int32_t* row = pops.data() + i * units;
+        float* out = scores.data() + i * units;
+        for (std::int64_t k = 0; k < units; ++k) {
+          // Same int -> float conversion and affine as the per-row path
+          // and the mapper's snapshot path, so floats are bit-identical.
+          const std::int64_t count =
+              static_cast<std::int64_t>(row[k]) + (bias ? bias[k] : 0);
+          const auto dot = static_cast<float>(2 * count - g.weights.cols());
+          out[k] = g.scale[static_cast<std::size_t>(k)] * dot +
+                   g.offset[static_cast<std::size_t>(k)];
+        }
+      }
+      return scores;
+    }
+    act = RunStageBatch(stage, *cur, sub);
+    cur = &act;
+    if (stage.kind == StageKind::kPackedGemm) ++gi;
   }
   throw std::invalid_argument("BnnProgram: program has no output stage");
 }

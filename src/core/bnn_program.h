@@ -213,9 +213,10 @@ class BnnProgram {
   std::vector<float> ScoresWith(const BitVector& x, StagePopcounter& pop) const;
 
   /// Class scores for a packed batch [N, input_size], row-major
-  /// [N, num_classes], through the bit-plane GEMM. Bit-identical to
-  /// Scores() per row. `substrates`, when non-empty, must hold one entry
-  /// per GEMM stage and substitutes that stage's weights (+ popcount bias).
+  /// [N, num_classes]: every hidden stage through RunStageBatch, the output
+  /// stage through the bit-plane GEMM. Bit-identical to Scores() per row.
+  /// `substrates`, when non-empty, must hold one entry per GEMM stage and
+  /// substitutes that stage's weights (+ popcount bias).
   std::vector<float> ScoresBatch(
       const BitMatrix& batch,
       std::span<const StageSubstrate> substrates = {}) const;
@@ -245,11 +246,25 @@ class BnnProgram {
   std::vector<ProgramStage> stages_;
 };
 
-/// Builds the im2col patch matrix of one packed activation batch: row
-/// n * NumPatches + p holds the patch of sample n's output pixel p
+/// One hidden stage of the batched executor: packed activations
+/// [N, in_bits] -> [N, out_bits]. ScoresBatch chains these calls. GEMM
+/// stages fuse their work into one pass that writes output words: kConv /
+/// kDepthwise gather each output pixel's patch in registers from zero-padded
+/// staged input rows, XNOR-popcount it against the unit rows, and OR the
+/// threshold bit into place. Popcounts equal those of the reference kernels
+/// (BuildPatchMatrix + XnorPopcountGemm), so every bit is identical.
+/// `substrate` substitutes a GEMM stage's weights (+ popcount bias); reshape
+/// and sign stages return the batch unchanged; the output stage throws
+/// std::invalid_argument (it produces scores, not bits).
+BitMatrix RunStageBatch(const ProgramStage& stage, const BitMatrix& batch,
+                        const StageSubstrate& substrate = {});
+
+/// Reference im2col: builds the patch matrix of one packed activation batch
+/// — row n * NumPatches + p holds the patch of sample n's output pixel p
 /// (out-of-range padded taps are bit 0 = -1). Channel range
 /// [c_begin, c_end) selects full-input conv patches ([0, C)) or one
-/// depthwise channel ([c, c+1)). Exposed for tests and benchmarks.
+/// depthwise channel ([c, c+1)). The executor does not materialize it; tests
+/// and benchmarks compare against it.
 BitMatrix BuildPatchMatrix(const BitMatrix& batch, const StageGeometry& geom,
                            std::int64_t c_begin, std::int64_t c_end);
 

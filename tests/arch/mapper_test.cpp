@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "arch/xnor_macro.h"
 #include "tensor/rng.h"
 
@@ -151,57 +153,126 @@ TEST(MappedBnn, AgedUnrefreshedFabricDegradesGracefully) {
   EXPECT_LT(pred, 2);
 }
 
+core::BitMatrix RandomBits(std::int64_t rows, std::int64_t cols, Rng& rng) {
+  core::BitMatrix m(rows, cols);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      m.Set(r, c, rng.Bernoulli(0.5) ? +1 : -1);
+    }
+  }
+  return m;
+}
+
+/// Random conv program: conv 8x6x6->6 3x3 p1 (per-pixel thresholds, 72-bit
+/// patches) | max-pool 2x2 | depthwise 3x3 p1 | reshape | dense output.
+/// Rows of 72 and 9 weights leave padding cells in every 64-column tile
+/// row, so programming errors there give nonzero popcount biases.
+core::BnnProgram RandomConvProgram(Rng& rng) {
+  auto thresholds = [&](std::int64_t count, std::int64_t bits) {
+    std::vector<std::int32_t> t(static_cast<std::size_t>(count));
+    for (auto& v : t) {
+      v = static_cast<std::int32_t>(bits / 2 + rng.UniformInt(5) - 2);
+    }
+    return t;
+  };
+  core::BnnProgram program;
+  program.SetInputShape({8, 6, 6});
+  core::ProgramStage conv;
+  conv.gemm.lowering = core::GemmLowering::kConv;
+  conv.gemm.geom = {8, 6, 6, 3, 3, 1, 1, 1, 1};
+  conv.gemm.weights = RandomBits(6, 72, rng);
+  conv.gemm.per_pixel_thresholds = true;
+  conv.gemm.thresholds = thresholds(6 * 36, 72);
+  conv.out_shape = {6, 6, 6};
+  program.AddStage(std::move(conv));
+  core::ProgramStage pool;
+  pool.kind = core::StageKind::kPool;
+  pool.pool.geom = {6, 6, 6, 2, 2, 2, 2, 0, 0};
+  pool.out_shape = {6, 3, 3};
+  program.AddStage(std::move(pool));
+  core::ProgramStage dw;
+  dw.gemm.lowering = core::GemmLowering::kDepthwise;
+  dw.gemm.geom = {6, 3, 3, 3, 3, 1, 1, 1, 1};
+  dw.gemm.weights = RandomBits(6, 9, rng);
+  dw.gemm.per_pixel_thresholds = true;
+  dw.gemm.thresholds = thresholds(6 * 9, 9);
+  dw.out_shape = {6, 3, 3};
+  program.AddStage(std::move(dw));
+  core::ProgramStage flat;
+  flat.kind = core::StageKind::kReshape;
+  flat.out_shape = {54, 1, 1};
+  program.AddStage(std::move(flat));
+  core::ProgramStage out;
+  out.gemm.weights = RandomBits(3, 54, rng);
+  out.gemm.is_output = true;
+  out.gemm.scale.assign(3, 1.0f);
+  for (int k = 0; k < 3; ++k) out.gemm.offset.push_back(rng.Normal(0.0f, 0.3f));
+  out.out_shape = {3, 1, 1};
+  program.AddStage(std::move(out));
+  program.Validate();
+  return program;
+}
+
 /// The packed readback-snapshot path must reproduce the transaction-level
 /// simulation bit for bit even when programming errors are present (heavy
 /// pre-deployment stress), including errors on padding cells — those fold
-/// into integer popcount biases.
+/// into integer popcount biases. Runs on a dense classifier and on a conv
+/// program (fused conv / pool / depthwise stages over readback substrates).
 TEST(MappedBnn, BatchedSnapshotExactUnderProgrammingErrors) {
   Rng rng(31);
-  const std::int64_t in = 150, hidden = 40, classes = 4, rows = 24;
-  const core::BnnModel model = RandomModel(in, hidden, classes, rng);
-  MapperConfig config;
-  config.macro_rows = 32;
-  config.macro_cols = 64;
-  config.device = IdealDevice();
-  // Deterministic senses, but devices cycled to weak-probability saturation:
-  // cells where both devices land weak (padding included) read back wrong
-  // about half the time.
-  config.device.weak_prob_ref = 4.0e-5;
-  config.pre_stress_cycles = 3000000000ull;
-  config.seed = 5;
-  MappedBnn row_fabric(model, config);
-  MappedBnn batch_fabric(model, config);
-  ASSERT_TRUE(batch_fabric.DeterministicReads());
+  const core::BnnProgram programs[] = {
+      core::BnnProgram::FromClassifier(RandomModel(150, 40, 4, rng)),
+      RandomConvProgram(rng)};
+  for (const core::BnnProgram& program : programs) {
+    const std::string kind = program.IsPureDense() ? "dense" : "conv";
+    MapperConfig config;
+    config.macro_rows = 32;
+    config.macro_cols = 64;
+    config.device = IdealDevice();
+    // Deterministic senses, but devices cycled to weak-probability
+    // saturation: cells where both devices land weak (padding included)
+    // read back wrong about half the time.
+    config.device.weak_prob_ref = 4.0e-5;
+    config.pre_stress_cycles = 3000000000ull;
+    config.seed = 5;
+    MappedBnn row_fabric(program, config);
+    MappedBnn batch_fabric(program, config);
+    ASSERT_TRUE(batch_fabric.DeterministicReads());
 
-  core::BitMatrix batch(rows, in);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t c = 0; c < in; ++c) {
-      batch.Set(r, c, rng.Bernoulli(0.5) ? +1 : -1);
-    }
-  }
-  const std::vector<float> batched = batch_fabric.ScoresBatch(batch);
-  for (std::int64_t i = 0; i < rows; ++i) {
-    const std::vector<float> per_row = row_fabric.Scores(batch.Row(i));
-    for (std::int64_t k = 0; k < classes; ++k) {
-      ASSERT_EQ(batched[static_cast<std::size_t>(i * classes + k)],
-                per_row[static_cast<std::size_t>(k)])
-          << "row " << i << " class " << k;
-    }
-  }
-  // Sanity: the stress level actually produced readback errors, so the
-  // equality above exercised the error-folding path.
-  std::int64_t errors = 0;
-  const auto& snapshot = batch_fabric.ReadbackSnapshot();
-  for (std::int64_t r = 0; r < hidden; ++r) {
-    for (std::int64_t c = 0; c < in; ++c) {
-      if (snapshot.stages()[0].gemm.weights.Get(r, c) !=
-          model.hidden()[0].weights.Get(r, c)) {
-        ++errors;
+    const std::int64_t rows = 24, classes = program.num_classes();
+    const core::BitMatrix batch = RandomBits(rows, program.input_size(), rng);
+    const std::vector<float> batched = batch_fabric.ScoresBatch(batch);
+    for (std::int64_t i = 0; i < rows; ++i) {
+      const std::vector<float> per_row = row_fabric.Scores(batch.Row(i));
+      for (std::int64_t k = 0; k < classes; ++k) {
+        ASSERT_EQ(batched[static_cast<std::size_t>(i * classes + k)],
+                  per_row[static_cast<std::size_t>(k)])
+            << kind << " row " << i << " class " << k;
       }
     }
+    // Sanity: the stress level actually produced readback errors — on
+    // weight cells, and on padding cells of the first stage (the snapshot
+    // folds those into its thresholds) — so the equality above exercised
+    // the substrate weights and the popcount bias.
+    const core::BnnProgram& snapshot = batch_fabric.ReadbackSnapshot();
+    std::int64_t errors = 0;
+    for (std::size_t s = 0; s < program.num_stages(); ++s) {
+      const core::ProgramStage& stage = program.stages()[s];
+      if (stage.kind != core::StageKind::kPackedGemm) continue;
+      const core::BitMatrix& want = stage.gemm.weights;
+      const core::BitMatrix& got = snapshot.stages()[s].gemm.weights;
+      for (std::int64_t r = 0; r < want.rows(); ++r) {
+        for (std::int64_t c = 0; c < want.cols(); ++c) {
+          if (got.Get(r, c) != want.Get(r, c)) ++errors;
+        }
+      }
+    }
+    EXPECT_GT(errors, 0) << kind << ": stress produced no programming "
+                                    "errors; the snapshot equality was trivial";
+    EXPECT_NE(snapshot.stages()[0].gemm.thresholds,
+              program.stages()[0].gemm.thresholds)
+        << kind << ": no padding-cell errors, so every popcount bias was 0";
   }
-  EXPECT_GT(errors, 0) << "stress produced no programming errors; the "
-                          "snapshot equality was trivial";
 }
 
 TEST(MappedBnn, SnapshotInvalidatedByStress) {

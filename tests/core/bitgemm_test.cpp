@@ -1,6 +1,7 @@
 // Packed bit-plane GEMM: exact agreement with the per-row XNOR-popcount
-// kernels on randomized shapes (word-multiple and ragged), AVX2-vs-scalar
-// kernel equivalence, and the batched packing / row-slicing primitives.
+// kernels on randomized shapes (word-multiple and ragged), hardware-vs-scalar
+// kernel equivalence (GEMM and per-patch row kernel), and the batched
+// packing / row-slicing primitives.
 #include "core/bitgemm.h"
 
 #include <gtest/gtest.h>
@@ -76,6 +77,59 @@ TEST(XnorPopcountGemm, Avx2AndScalarKernelsAgree) {
     SetXnorGemmForceScalar(prev);
     EXPECT_EQ(vec_pops, scalar_pops)
         << "shape (" << s.n << ", " << s.m << ", " << s.l << ")";
+  }
+  // Every width of 1, 2 and 3 words (the narrow-row POPCNT kernel) and up
+  // to the first AVX2-vector widths.
+  for (std::int64_t l = 1; l <= 255; ++l) {
+    const BitMatrix x = RandomBits(3, l, rng);
+    const BitMatrix w = RandomBits(5, l, rng);
+    std::vector<std::int32_t> vec_pops, scalar_pops;
+    XnorPopcountGemm(x, w, vec_pops);
+    const bool prev = SetXnorGemmForceScalar(true);
+    XnorPopcountGemm(x, w, scalar_pops);
+    SetXnorGemmForceScalar(prev);
+    ASSERT_EQ(vec_pops, scalar_pops) << "cols " << l;
+  }
+}
+
+/// The per-patch row kernel: hardware and portable selections agree with
+/// each other and, after the padding correction, with the GEMM.
+TEST(XnorPopcountGemm, RowKernelMatchesGemmOnEveryWidth) {
+  Rng rng(37);
+  for (std::int64_t l = 1; l <= 255; l += 3) {
+    const BitMatrix x = RandomBits(2, l, rng);
+    const BitMatrix w = RandomBits(7, l, rng);
+    std::vector<std::int32_t> gemm;
+    XnorPopcountGemm(x, w, gemm);
+    const std::int64_t wpr = w.words_per_row();
+    const auto pad_ones = static_cast<std::int32_t>(wpr * 64 - l);
+    for (const bool force_scalar : {false, true}) {
+      const bool prev = SetXnorGemmForceScalar(force_scalar);
+      const XnorRowsKernel kernel = SelectXnorRowsKernel();
+      SetXnorGemmForceScalar(prev);
+      for (std::int64_t i = 0; i < x.rows(); ++i) {
+        std::vector<std::int32_t> row(static_cast<std::size_t>(w.rows()));
+        kernel(x.RowWords(i).data(), 0, w.words().data(), w.rows(), wpr,
+               row.data());
+        for (std::int64_t j = 0; j < w.rows(); ++j) {
+          ASSERT_EQ(row[static_cast<std::size_t>(j)] - pad_ones,
+                    gemm[static_cast<std::size_t>(i * w.rows() + j)])
+              << "cols " << l << " row " << i << " unit " << j
+              << (force_scalar ? " (scalar)" : "");
+        }
+      }
+      // Strided form (the depthwise pairing): row j of `pairs` against
+      // weight row j only.
+      const BitMatrix pairs = RandomBits(w.rows(), l, rng);
+      std::vector<std::int32_t> diag(static_cast<std::size_t>(w.rows()));
+      kernel(pairs.words().data(), wpr, w.words().data(), w.rows(), wpr,
+             diag.data());
+      for (std::int64_t j = 0; j < w.rows(); ++j) {
+        ASSERT_EQ(diag[static_cast<std::size_t>(j)] - pad_ones,
+                  w.RowXnorPopcount(j, pairs.Row(j)))
+            << "cols " << l << " pair " << j;
+      }
+    }
   }
 }
 

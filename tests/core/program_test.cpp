@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <span>
@@ -170,7 +171,17 @@ INSTANTIATE_TEST_SUITE_P(
         GeomCase{"depthwise3x3", 5, 8, 8, 0, 3, 3, 1, 0, true},
         GeomCase{"depthwise3x3_padded", 4, 9, 9, 0, 3, 3, 1, 1, true},
         GeomCase{"depthwise3x3_stride2_padded", 6, 12, 12, 0, 3, 3, 2, 1,
-                 true}),
+                 true},
+        // Padded rows wider than one 64-bit word (72 bits here), patches
+        // wider than one word through the channels (8x3x3 = 72 bits) and
+        // through the kernel (9x9 = 81 bits), and a strided wide row.
+        GeomCase{"conv3x3_padded_wide_row", 2, 5, 70, 4, 3, 3, 1, 1, false},
+        GeomCase{"conv3x3_patch_over_one_word", 8, 6, 6, 5, 3, 3, 1, 1,
+                 false},
+        GeomCase{"depthwise9x9_patch_over_one_word", 3, 12, 12, 0, 9, 9, 1,
+                 1, true},
+        GeomCase{"conv3x3_stride2_wide_row", 3, 6, 130, 4, 3, 3, 2, 1,
+                 false}),
     [](const ::testing::TestParamInfo<GeomCase>& info) {
       return std::string(info.param.name);
     });
@@ -258,6 +269,158 @@ TEST(Program, ConvStageOutputBitsMatchFloatSignActivations) {
     }
     EXPECT_EQ(checked, n * units * num_p) << g.name;
   }
+}
+
+BitMatrix RandomBits(std::int64_t rows, std::int64_t cols, Rng& rng) {
+  BitMatrix m(rows, cols);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      m.Set(r, c, rng.Bernoulli(0.5) ? +1 : -1);
+    }
+  }
+  return m;
+}
+
+/// The fused stage executor against the reference kernels it replaces:
+/// BuildPatchMatrix + XnorPopcountGemm + the threshold at (unit, pixel),
+/// with random weights, thresholds and a substrate popcount bias. Covers
+/// kernel_w = 64, pads wider than a kernel row, odd strides and multi-word
+/// rows and patches, on both lowerings and both threshold layouts.
+TEST(Program, FusedStageMatchesReferenceKernels) {
+  struct Case {
+    std::int64_t c, h, w, units, kh, kw, sh, sw, ph, pw;
+    bool depthwise;
+  };
+  const Case cases[] = {
+      {3, 7, 9, 5, 3, 3, 1, 1, 1, 1, false},
+      {2, 4, 100, 3, 2, 64, 1, 3, 0, 5, false},
+      {4, 6, 70, 6, 3, 5, 2, 3, 2, 2, false},
+      {1, 3, 200, 2, 3, 3, 1, 1, 1, 1, false},
+      {5, 9, 9, 5, 9, 9, 1, 1, 4, 4, true},
+      {3, 5, 130, 3, 3, 33, 2, 7, 1, 20, true},
+      {2, 2, 2, 2, 1, 1, 1, 1, 0, 0, true},
+  };
+  Rng rng(43);
+  for (const Case& k : cases) {
+    for (const bool per_pixel : {false, true}) {
+      ProgramStage stage;
+      PackedGemmStage& g = stage.gemm;
+      g.lowering = k.depthwise ? GemmLowering::kDepthwise : GemmLowering::kConv;
+      g.geom = {k.c, k.h, k.w, k.kh, k.kw, k.sh, k.sw, k.ph, k.pw};
+      const std::int64_t units = k.depthwise ? k.c : k.units;
+      const std::int64_t patch_bits =
+          k.depthwise ? g.geom.ChannelPatchSize() : g.geom.PatchSize();
+      g.weights = RandomBits(units, patch_bits, rng);
+      const std::int64_t num_p = g.geom.NumPatches();
+      g.per_pixel_thresholds = per_pixel;
+      g.thresholds.resize(static_cast<std::size_t>(per_pixel ? units * num_p
+                                                             : units));
+      for (auto& t : g.thresholds) {
+        t = static_cast<std::int32_t>(patch_bits / 2 + rng.UniformInt(7) - 3);
+      }
+      std::vector<std::int32_t> bias(static_cast<std::size_t>(units));
+      for (auto& b : bias) b = static_cast<std::int32_t>(rng.UniformInt(5)) - 2;
+      const BitMatrix substrate = RandomBits(units, patch_bits, rng);
+      const BitMatrix in = RandomBits(5, k.c * k.h * k.w, rng);
+
+      const BitMatrix got =
+          RunStageBatch(stage, in, StageSubstrate{&substrate, bias.data()});
+      ASSERT_EQ(got.rows(), in.rows());
+      ASSERT_EQ(got.cols(), units * num_p);
+      std::vector<std::int32_t> pops;
+      for (std::int64_t c0 = 0; c0 < (k.depthwise ? k.c : 1); ++c0) {
+        const std::int64_t c1 = k.depthwise ? c0 + 1 : k.c;
+        XnorPopcountGemm(BuildPatchMatrix(in, g.geom, c0, c1), substrate,
+                         pops);
+        for (std::int64_t i = 0; i < in.rows(); ++i) {
+          for (std::int64_t p = 0; p < num_p; ++p) {
+            for (std::int64_t u = k.depthwise ? c0 : 0;
+                 u < (k.depthwise ? c0 + 1 : units); ++u) {
+              const std::int32_t pop = pops[static_cast<std::size_t>(
+                  (i * num_p + p) * units + u)];
+              const std::int32_t t = g.thresholds[static_cast<std::size_t>(
+                  per_pixel ? u * num_p + p : u)];
+              ASSERT_EQ(got.Get(i, u * num_p + p),
+                        pop + bias[static_cast<std::size_t>(u)] >= t ? +1 : -1)
+                  << "case " << (&k - cases) << " per_pixel " << per_pixel
+                  << " sample " << i << " unit " << u << " pixel " << p;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The fused max-pool stage against a per-bit window maximum.
+TEST(Program, FusedPoolMatchesPerBitMaximum) {
+  struct Case {
+    std::int64_t c, h, w, kh, kw, sh, sw;
+  };
+  const Case cases[] = {
+      {3, 8, 8, 2, 2, 2, 2}, {2, 5, 140, 3, 64, 1, 5}, {4, 7, 9, 3, 2, 2, 3}};
+  Rng rng(47);
+  for (const Case& k : cases) {
+    ProgramStage stage;
+    stage.kind = StageKind::kPool;
+    stage.pool.geom = {k.c, k.h, k.w, k.kh, k.kw, k.sh, k.sw, 0, 0};
+    const StageGeometry& g = stage.pool.geom;
+    // Sparse +1 bits so that windows are not all saturated.
+    BitMatrix in(4, k.c * k.h * k.w);
+    for (std::int64_t i = 0; i < in.rows(); ++i) {
+      for (std::int64_t j = 0; j < in.cols(); ++j) {
+        if (rng.Bernoulli(0.1)) in.Set(i, j, +1);
+      }
+    }
+    const BitMatrix got = RunStageBatch(stage, in);
+    ASSERT_EQ(got.cols(), k.c * g.OutH() * g.OutW());
+    for (std::int64_t i = 0; i < in.rows(); ++i) {
+      for (std::int64_t c = 0; c < k.c; ++c) {
+        for (std::int64_t oy = 0; oy < g.OutH(); ++oy) {
+          for (std::int64_t ox = 0; ox < g.OutW(); ++ox) {
+            int want = -1;
+            for (std::int64_t ky = 0; ky < k.kh; ++ky) {
+              for (std::int64_t kx = 0; kx < k.kw; ++kx) {
+                want = std::max(want, in.Get(i, (c * k.h + oy * k.sh + ky) *
+                                                        k.w +
+                                                    ox * k.sw + kx));
+              }
+            }
+            ASSERT_EQ(got.Get(i, (c * g.OutH() + oy) * g.OutW() + ox), want)
+                << "sample " << i << " channel " << c << " at " << oy << ","
+                << ox;
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Substrates of the wrong shape and the output stage are rejected instead
+/// of being indexed out of bounds.
+TEST(Program, StageExecutorRejectsMismatchedOperands) {
+  Rng rng(53);
+  ProgramStage stage;
+  PackedGemmStage& g = stage.gemm;
+  g.lowering = GemmLowering::kConv;
+  g.geom = {2, 5, 5, 3, 3, 1, 1, 1, 1};
+  g.weights = RandomBits(4, g.geom.PatchSize(), rng);
+  g.thresholds.assign(4, 9);
+  const BitMatrix in = RandomBits(2, 50, rng);
+  EXPECT_NO_THROW(RunStageBatch(stage, in));
+  EXPECT_THROW(RunStageBatch(stage, RandomBits(2, 49, rng)),
+               std::invalid_argument);
+  const BitMatrix narrow = RandomBits(3, g.geom.PatchSize(), rng);
+  EXPECT_THROW(RunStageBatch(stage, in, StageSubstrate{&narrow, nullptr}),
+               std::invalid_argument);
+  g.thresholds.pop_back();
+  EXPECT_THROW(RunStageBatch(stage, in), std::invalid_argument);
+  g.thresholds.push_back(9);
+  g.geom.kernel_w = 65;
+  EXPECT_THROW(RunStageBatch(stage, in), std::invalid_argument);
+  g.geom.kernel_w = 3;
+  g.is_output = true;
+  EXPECT_THROW(RunStageBatch(stage, in), std::invalid_argument);
 }
 
 TEST(Program, MultiStagePipelineBitExact) {
