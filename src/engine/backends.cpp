@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <exception>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "tensor/rng.h"
@@ -361,10 +359,14 @@ std::vector<float> ShardedRramBackend::Scores(const core::BitVector& x) {
       "rram-sharded: every chip is routed out of serving");
 }
 
-void ShardedRramBackend::ForEachShard(
-    std::int64_t rows,
-    const std::function<void(std::size_t, std::int64_t, std::int64_t)>&
-        serve) {
+std::vector<float> ShardedRramBackend::ScoresBatch(
+    const core::BitMatrix& batch) {
+  if (batch.cols() != input_size()) {
+    throw std::invalid_argument("ShardedRramBackend::ScoresBatch: width " +
+                                std::to_string(batch.cols()) +
+                                " != input size " +
+                                std::to_string(input_size()));
+  }
   // Rows route across serving chips only: chips the health layer marked
   // sick receive nothing until they are healed and routed back in.
   std::vector<std::size_t> active;
@@ -376,58 +378,22 @@ void ShardedRramBackend::ForEachShard(
     throw std::runtime_error(
         "rram-sharded: every chip is routed out of serving");
   }
+  const std::int64_t rows = batch.rows();
+  const std::int64_t m = num_classes();
   const std::int64_t s = static_cast<std::int64_t>(active.size());
   const std::int64_t chunk = (rows + s - 1) / s;
-  if (chunk == 0) return;
+  std::vector<float> out(static_cast<std::size_t>(rows * m));
   // Row -> chip routing is fixed by the chunk arithmetic over the serving
-  // set, so inline and threaded execution produce identical results;
-  // threads only change wall-clock. On a single-hardware-thread host (or
-  // with one occupied chip) spawn/teardown would dominate, so serve inline.
-  const std::int64_t occupied = std::min(s, (rows + chunk - 1) / chunk);
-  const bool inline_serve =
-      occupied <= 1 || std::thread::hardware_concurrency() <= 1;
-  if (inline_serve) {
-    for (std::int64_t c = 0; c < occupied; ++c) {
-      serve(active[static_cast<std::size_t>(c)], c * chunk,
-            std::min(rows, (c + 1) * chunk));
-    }
-    return;
-  }
-  std::vector<std::thread> pool;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(occupied));
-  for (std::int64_t c = 0; c < occupied; ++c) {
+  // set. The chips are served in order on the calling thread: a predict
+  // already runs on a serving worker, and a thread per chip cost more than
+  // the packed chip kernels it parallelized.
+  for (std::int64_t c = 0; c * chunk < rows; ++c) {
     const std::int64_t begin = c * chunk;
-    const std::int64_t end = std::min(rows, begin + chunk);
-    pool.emplace_back([&, c, begin, end] {
-      try {
-        serve(active[static_cast<std::size_t>(c)], begin, end);
-      } catch (...) {
-        errors[static_cast<std::size_t>(c)] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-}
-
-std::vector<float> ShardedRramBackend::ScoresBatch(
-    const core::BitMatrix& batch) {
-  if (batch.cols() != input_size()) {
-    throw std::invalid_argument("ShardedRramBackend::ScoresBatch: width " +
-                                std::to_string(batch.cols()) +
-                                " != input size " +
-                                std::to_string(input_size()));
-  }
-  const std::int64_t m = num_classes();
-  std::vector<float> out(static_cast<std::size_t>(batch.rows() * m));
-  ForEachShard(batch.rows(), [&](std::size_t chip, std::int64_t begin,
-                                 std::int64_t end) {
     const std::vector<float> scores =
-        shards_[chip]->ScoresBatch(batch.RowSlice(begin, end));
+        shards_[active[static_cast<std::size_t>(c)]]->ScoresBatch(
+            batch.RowSlice(begin, std::min(rows, begin + chunk)));
     std::copy(scores.begin(), scores.end(), out.begin() + begin * m);
-  });
+  }
   return out;
 }
 

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -182,10 +181,10 @@ class RramBackend : public InferenceBackend,
 /// the multi-macro parallelism of Yin et al.'s monolithic chip lifted to
 /// chip level. Every shard is a full MappedBnn programmed under its own
 /// programming-noise seed (derived from the base seed; chip 0 reproduces the
-/// single-fabric RramBackend exactly), so batch rows can be sharded across
-/// chips concurrently: contiguous row ranges, one worker thread per chip.
-/// With deterministic senses each chip additionally serves its shard through
-/// its packed readback snapshot and the bit-plane GEMM.
+/// single-fabric RramBackend exactly). Batch rows are sharded across chips
+/// in contiguous row ranges, and the chips serve their ranges in order on
+/// the calling thread. With deterministic senses each chip serves its shard
+/// through its packed readback snapshot and the bit-plane GEMM.
 ///
 /// Accuracy semantics: chips differ in their programming-noise draws, so at
 /// nonzero device error rates a row's scores depend on which chip served it
@@ -205,17 +204,17 @@ class ShardedRramBackend : public InferenceBackend,
   std::int64_t num_classes() const override;
   /// Single-row inference is served by the first serving chip.
   std::vector<float> Scores(const core::BitVector& x) override;
-  /// Shards rows across serving chips (contiguous ranges, one worker per
-  /// chip; on a single-hardware-thread host the chips are served inline
-  /// instead). Chips routed out by the health layer receive no rows.
-  /// PredictPacked is inherited: argmax over this.
+  /// Shards rows across serving chips in contiguous ranges, served in chip
+  /// order on the calling thread. Chips routed out by the health layer
+  /// receive no rows. PredictPacked is inherited: argmax over this.
   std::vector<float> ScoresBatch(const core::BitMatrix& batch) override;
   std::string Describe() const override;
   /// Aggregated over chips: programming energy, area and macro count sum;
   /// per-inference cost is per chip (a row is served by exactly one chip).
   EnergyBreakdown EnergyReport() const override;
-  /// The backend parallelizes internally (one worker per chip); the engine
-  /// must not also shard rows across threads.
+  /// Row -> chip routing depends on a row's position in the whole batch, so
+  /// the engine must not split a batch across threads: each thread's slice
+  /// would be routed as a batch of its own.
   bool SupportsConcurrentInference() const override { return false; }
   /// True when every shard has deterministic senses: each chip's batch path
   /// reads its eagerly built readback planes, so whole batches from several
@@ -252,14 +251,6 @@ class ShardedRramBackend : public InferenceBackend,
 
  private:
   void CheckChip(int chip) const;
-
-  /// Runs `serve(chip, begin, end)` for each serving chip's contiguous row
-  /// range, one thread per occupied chip. Throws std::runtime_error when
-  /// every chip is routed out of serving.
-  void ForEachShard(
-      std::int64_t rows,
-      const std::function<void(std::size_t, std::int64_t, std::int64_t)>&
-          serve);
 
   core::BnnProgram golden_;  // healing source
   std::vector<std::unique_ptr<arch::MappedBnn>> shards_;

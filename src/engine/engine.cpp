@@ -96,8 +96,25 @@ EngineConfig& EngineConfig::WithHealthPolicy(const health::HealthPolicy& p) {
 // Engine lifecycle
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// EngineConfig is also filled as a plain struct, or edited through
+/// Engine::config(), which bypasses the With* checks; a zero chunk size
+/// would loop Features forever.
+void ValidateConfig(const EngineConfig& config) {
+  if (config.threads < 1 || config.batch_size < 1) {
+    throw std::invalid_argument(
+        "Engine: need threads >= 1 and batch_size >= 1, got threads=" +
+        std::to_string(config.threads) +
+        " batch_size=" + std::to_string(config.batch_size));
+  }
+}
+
+}  // namespace
+
 Engine::Engine(EngineConfig config, ModelFactory factory)
     : config_(std::move(config)), factory_(std::move(factory)) {
+  ValidateConfig(config_);
   if (!factory_) {
     throw std::invalid_argument("Engine: null ModelFactory");
   }
@@ -122,7 +139,9 @@ Engine::Engine(EngineConfig config, nn::Sequential net,
     : config_(std::move(config)),
       net_(std::move(net)),
       classifier_start_(classifier_start),
-      trained_(true) {}
+      trained_(true) {
+  ValidateConfig(config_);
+}
 
 Engine Engine::FromArtifact(const std::string& path) {
   return FromArtifact(path, io::LoadArtifactOptions{});
@@ -235,6 +254,7 @@ InferenceBackend& Engine::EnsureDeployed() {
 // ---------------------------------------------------------------------------
 
 Tensor Engine::Features(const Tensor& x) {
+  ValidateConfig(config_);
   const std::int64_t n = x.dim(0);
   const std::int64_t sample_elems = n > 0 ? x.size() / n : 0;
   Tensor features({n, 0});
@@ -332,6 +352,7 @@ double Engine::Evaluate(const nn::Dataset& data) {
         "samples)");
   }
   if (!backend_) {
+    ValidateConfig(config_);
     return nn::Evaluate(net_, data, config_.batch_size);
   }
   const std::vector<std::int64_t> preds = PredictRows(Features(data.x));

@@ -39,7 +39,8 @@
 namespace rrambnn::engine {
 
 /// Builder-style configuration of the full pipeline. Plain-struct access
-/// works too; the With* setters exist for fluent call sites.
+/// works too; the With* setters exist for fluent call sites and check their
+/// argument, and every Engine constructor checks threads and batch_size.
 struct EngineConfig {
   /// Which parts of the network are binarized (decides whether Compile()
   /// has a classifier to fold).
@@ -54,9 +55,12 @@ struct EngineConfig {
   std::string backend_name = "reference";
   /// Worker threads for Evaluate/Predict row sharding. Backends that do not
   /// support concurrent inference are served by one worker regardless.
+  /// Engine construction rejects values below 1.
   int threads = 1;
-  /// Minibatch size of the float feature-extractor prefix.
-  std::int64_t batch_size = 64;
+  /// Rows per chunk of the float feature-extractor prefix (Features). Small
+  /// enough that a chunk's activations stay in L2 (8 EEG demo rows are about
+  /// 0.8 MB). Engine construction rejects values below 1.
+  std::int64_t batch_size = 8;
   /// Seed of the model-building Rng (weight init).
   std::uint64_t model_seed = 3;
   /// Seed of the cross-validation fold split.
@@ -177,6 +181,11 @@ class Engine {
   /// classifier rows across worker threads. Requires Deploy().
   std::vector<std::int64_t> Predict(const Tensor& batch);
 
+  /// Float feature rows [N, F] of the prefix [0, classifier_start): the
+  /// Layer::Infer chain run over config().batch_size rows at a time, the
+  /// host half of Predict(). The bytes do not depend on the chunk size.
+  Tensor Features(const Tensor& x);
+
   /// Argmax accuracy over a dataset. After Deploy() this measures the
   /// deployed pipeline (prefix + backend); before Deploy() it measures the
   /// trained float network. Thread count never changes the result.
@@ -245,10 +254,6 @@ class Engine {
  private:
   /// FromTrained delegate: pre-trained network, no factory.
   Engine(EngineConfig config, nn::Sequential net, std::size_t classifier_start);
-
-  /// Float feature rows [N, F] of the prefix [0, classifier_start), computed
-  /// in minibatches.
-  Tensor Features(const Tensor& x);
 
   /// Backend predictions for feature rows: the whole feature set is
   /// sign-packed once, then served in packed batches — sharded across

@@ -1,5 +1,6 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "nn/gemm.h"
@@ -100,12 +101,18 @@ Tensor Conv2d::Infer(const Tensor& x) const {
 
   Tensor y({n, out_channels_, geom.OutH(), geom.OutW()});
   const Tensor w_eff = EffectiveWeight();
-  std::vector<float> cols(static_cast<std::size_t>(patch * q));
-  for (std::int64_t s = 0; s < n; ++s) {
-    Im2Col(x.data() + s * in_channels_ * geom.in_h * geom.in_w, geom,
-           cols.data());
-    GemmAccumulate(w_eff.data(), cols.data(), y.data() + s * out_channels_ * q,
-                   out_channels_, patch, q);
+  if (geom.stride_h == 1 && geom.stride_w == 1 && geom.kernel_w == 1 &&
+      geom.pad_w == 0) {
+    InferColumnKernel(x, geom, w_eff, y);
+  } else {
+    std::vector<float> cols(static_cast<std::size_t>(patch * q));
+    for (std::int64_t s = 0; s < n; ++s) {
+      Im2Col(x.data() + s * in_channels_ * geom.in_h * geom.in_w, geom,
+             cols.data());
+      GemmAccumulate(w_eff.data(), cols.data(),
+                     y.data() + s * out_channels_ * q, out_channels_, patch,
+                     q);
+    }
   }
   if (options_.use_bias) {
     for (std::int64_t s = 0; s < n; ++s) {
@@ -117,6 +124,53 @@ Tensor Conv2d::Infer(const Tensor& x) const {
     }
   }
   return y;
+}
+
+void Conv2d::InferColumnKernel(const Tensor& x, const ConvGeometry& geom,
+                               const Tensor& w_eff, Tensor& y) const {
+  // Im2Col row (c, ky) of a stride-1 k x 1 kernel is the q = OutH * W
+  // contiguous floats of input plane c (zero-padded in height) that start at
+  // row ky, so the GEMM reads B in place with row stride W. One call per
+  // input channel, over that channel's [OC, kh] weight block, feeds each
+  // output its products in Im2Col's (c, ky) order with the same zero skips:
+  // the result is bit-identical to the Im2Col path Forward keeps.
+  const std::int64_t n = x.dim(0);
+  const std::int64_t kh = geom.kernel_h;
+  const std::int64_t w = geom.in_w;
+  const std::int64_t plane = geom.in_h * w;
+  const std::int64_t q = geom.NumPatches();
+  const std::int64_t patch = geom.PatchSize();
+  std::vector<float> blocks(static_cast<std::size_t>(patch * out_channels_));
+  for (std::int64_t c = 0; c < in_channels_; ++c) {
+    for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
+      std::copy_n(w_eff.data() + oc * patch + c * kh, kh,
+                  blocks.data() + (c * out_channels_ + oc) * kh);
+    }
+  }
+  // Padded planes: the pad rows are zeroed once, the interior is restaged
+  // per sample.
+  const std::int64_t padded_plane = (geom.in_h + 2 * geom.pad_h) * w;
+  std::vector<float> padded(
+      geom.pad_h > 0 ? static_cast<std::size_t>(in_channels_ * padded_plane)
+                     : 0);
+  for (std::int64_t s = 0; s < n; ++s) {
+    const float* planes = x.data() + s * in_channels_ * plane;
+    std::int64_t plane_stride = plane;
+    if (!padded.empty()) {
+      for (std::int64_t c = 0; c < in_channels_; ++c) {
+        std::copy_n(planes + c * plane, plane,
+                    padded.data() + c * padded_plane + geom.pad_h * w);
+      }
+      planes = padded.data();
+      plane_stride = padded_plane;
+    }
+    float* out = y.data() + s * out_channels_ * q;
+    for (std::int64_t c = 0; c < in_channels_; ++c) {
+      GemmAccumulateStridedB(blocks.data() + c * out_channels_ * kh,
+                             planes + c * plane_stride, w, out, out_channels_,
+                             kh, q);
+    }
+  }
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_out) {

@@ -1,4 +1,6 @@
 // 2-D convolution via im2col + GEMM, optionally with binarized weights.
+// Infer skips im2col for stride-1 k x 1 kernels and reads their patches in
+// place; Forward always materializes the columns Backward needs.
 //
 // The paper's "1-D" biomedical convolutions are expressed as k x 1 (conv in
 // time) and 1 x k (conv in space) kernels on [N, C, H=time, W=space] tensors,
@@ -62,6 +64,11 @@ class Conv2d : public Layer {
 
  private:
   ConvGeometry GeometryFor(const Shape& sample_shape) const;
+  /// Infer for stride-1 k x 1 kernels (kernel_w == 1, pad_w == 0): the GEMM
+  /// reads patches in place from the input planes instead of from Im2Col
+  /// columns. Accumulates into the zeroed output `y`.
+  void InferColumnKernel(const Tensor& x, const ConvGeometry& geom,
+                         const Tensor& w_eff, Tensor& y) const;
 
   std::int64_t in_channels_;
   std::int64_t out_channels_;

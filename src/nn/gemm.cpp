@@ -12,19 +12,21 @@ namespace rrambnn::nn {
 
 namespace {
 
-using GemmKernel = void (*)(const float* a, const float* b, float* c,
-                            std::int64_t m, std::int64_t k, std::int64_t n);
+using GemmKernel = void (*)(const float* a, const float* b, std::int64_t ldb,
+                            float* c, std::int64_t m, std::int64_t k,
+                            std::int64_t n);
 
-void GemmScalar(const float* a, const float* b, float* c, std::int64_t m,
-                std::int64_t k, std::int64_t n) {
-#pragma omp parallel for if (m * n * k > 1 << 18) schedule(static)
+// No OpenMP: like the AVX2 kernel, this serves conv layers from inside the
+// serving worker pools (hosts without AVX2, SetGemmForceScalar).
+void GemmScalar(const float* a, const float* b, std::int64_t ldb, float* c,
+                std::int64_t m, std::int64_t k, std::int64_t n) {
   for (std::int64_t i = 0; i < m; ++i) {
     float* crow = c + i * n;
     const float* arow = a + i * k;
     for (std::int64_t kk = 0; kk < k; ++kk) {
       const float av = arow[kk];
       if (av == 0.0f) continue;
-      const float* brow = b + kk * n;
+      const float* brow = b + kk * ldb;
       for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   }
@@ -50,8 +52,9 @@ constexpr std::int64_t kTileCols = 8 * kTileVecs;
 /// neither read nor written.
 template <int kRows, bool kMasked, bool kSkipZeros>
 __attribute__((target("avx2"))) void TileAvx2(const float* a, std::int64_t k,
-                                              const float* b, std::int64_t n,
-                                              float* c, const __m256i* masks) {
+                                              const float* b, std::int64_t ldb,
+                                              float* c, std::int64_t n,
+                                              const __m256i* masks) {
   __m256 acc[kRows][kTileVecs];
 #pragma GCC unroll 4
   for (int r = 0; r < kRows; ++r) {
@@ -62,7 +65,7 @@ __attribute__((target("avx2"))) void TileAvx2(const float* a, std::int64_t k,
     }
   }
   for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float* brow = b + kk * n;
+    const float* brow = b + kk * ldb;
     __m256 bv[kTileVecs];
 #pragma GCC unroll 2
     for (int v = 0; v < kTileVecs; ++v) {
@@ -97,34 +100,39 @@ __attribute__((target("avx2"))) void TileAvx2(const float* a, std::int64_t k,
 /// is partial when n is not a multiple of kTileCols.
 template <int kRows, bool kSkipZeros>
 __attribute__((target("avx2"))) void RowTileAvx2(const float* a,
-                                                 const float* b, float* c,
+                                                 const float* b,
+                                                 std::int64_t ldb, float* c,
                                                  std::int64_t k,
                                                  std::int64_t n,
                                                  const __m256i* tail_masks) {
   std::int64_t j = 0;
   for (; j + kTileCols <= n; j += kTileCols) {
-    TileAvx2<kRows, false, kSkipZeros>(a, k, b + j, n, c + j, nullptr);
+    TileAvx2<kRows, false, kSkipZeros>(a, k, b + j, ldb, c + j, n, nullptr);
   }
-  if (j < n) TileAvx2<kRows, true, kSkipZeros>(a, k, b + j, n, c + j, tail_masks);
+  if (j < n) {
+    TileAvx2<kRows, true, kSkipZeros>(a, k, b + j, ldb, c + j, n, tail_masks);
+  }
 }
 
 /// Only row tiles that hold an exact-zero weight pay for the skip test.
 template <int kRows>
 __attribute__((target("avx2"))) void RowTileAvx2(const float* a,
-                                                 const float* b, float* c,
+                                                 const float* b,
+                                                 std::int64_t ldb, float* c,
                                                  std::int64_t k,
                                                  std::int64_t n,
                                                  const __m256i* tail_masks) {
   if (std::find(a, a + kRows * k, 0.0f) != a + kRows * k) {
-    RowTileAvx2<kRows, true>(a, b, c, k, n, tail_masks);
+    RowTileAvx2<kRows, true>(a, b, ldb, c, k, n, tail_masks);
   } else {
-    RowTileAvx2<kRows, false>(a, b, c, k, n, tail_masks);
+    RowTileAvx2<kRows, false>(a, b, ldb, c, k, n, tail_masks);
   }
 }
 
 __attribute__((target("avx2"))) void GemmAvx2(const float* a, const float* b,
-                                              float* c, std::int64_t m,
-                                              std::int64_t k, std::int64_t n) {
+                                              std::int64_t ldb, float* c,
+                                              std::int64_t m, std::int64_t k,
+                                              std::int64_t n) {
   __m256i tail_masks[kTileVecs];
   for (int v = 0; v < kTileVecs; ++v) {
     const std::int64_t lanes =
@@ -135,12 +143,12 @@ __attribute__((target("avx2"))) void GemmAvx2(const float* a, const float* b,
   }
   std::int64_t i = 0;
   for (; i + kTileRows <= m; i += kTileRows) {
-    RowTileAvx2<kTileRows>(a + i * k, b, c + i * n, k, n, tail_masks);
+    RowTileAvx2<kTileRows>(a + i * k, b, ldb, c + i * n, k, n, tail_masks);
   }
   switch (m - i) {
-    case 3: RowTileAvx2<3>(a + i * k, b, c + i * n, k, n, tail_masks); break;
-    case 2: RowTileAvx2<2>(a + i * k, b, c + i * n, k, n, tail_masks); break;
-    case 1: RowTileAvx2<1>(a + i * k, b, c + i * n, k, n, tail_masks); break;
+    case 3: RowTileAvx2<3>(a + i * k, b, ldb, c + i * n, k, n, tail_masks); break;
+    case 2: RowTileAvx2<2>(a + i * k, b, ldb, c + i * n, k, n, tail_masks); break;
+    case 1: RowTileAvx2<1>(a + i * k, b, ldb, c + i * n, k, n, tail_masks); break;
     default: break;
   }
 }
@@ -169,7 +177,13 @@ GemmKernel ActiveKernel() {
 
 void GemmAccumulate(const float* a, const float* b, float* c, std::int64_t m,
                     std::int64_t k, std::int64_t n) {
-  ActiveKernel()(a, b, c, m, k, n);
+  ActiveKernel()(a, b, n, c, m, k, n);
+}
+
+void GemmAccumulateStridedB(const float* a, const float* b, std::int64_t ldb,
+                            float* c, std::int64_t m, std::int64_t k,
+                            std::int64_t n) {
+  ActiveKernel()(a, b, ldb, c, m, k, n);
 }
 
 const char* GemmKernelName() {

@@ -4,14 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "core/bitops.h"
+#include "core/compile.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/dense.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "serve/demo_tasks.h"
 
 namespace rrambnn::engine {
 namespace {
@@ -225,6 +231,81 @@ TEST(EngineConfig, BuilderChainsAndValidates) {
   EXPECT_EQ(cfg.model_seed, 11u);
   EXPECT_THROW(cfg.WithThreads(0), std::invalid_argument);
   EXPECT_THROW(cfg.WithBatchSize(0), std::invalid_argument);
+}
+
+/// Plain-struct configs bypass the With* checks, so every constructor checks
+/// them itself: a zero chunk size would loop Features forever.
+TEST(EngineConfig, ConstructorsRejectNonPositiveBatchSizeAndThreads) {
+  const std::string path = ::testing::TempDir() + "engine_config_reject.rbnn";
+  MakeTrainedEngine().SaveArtifact(path);
+  EngineConfig zero_batch;
+  zero_batch.batch_size = 0;
+  EngineConfig zero_threads;
+  zero_threads.threads = 0;
+  EngineConfig negative_batch;
+  negative_batch.batch_size = -3;
+  for (const EngineConfig& bad : {zero_batch, zero_threads, negative_batch}) {
+    const ModelFactory factory = [](const EngineConfig&, Rng& rng) {
+      return ModelSpec{WarmClassifier(rng), 0};
+    };
+    EXPECT_THROW((void)Engine(bad, factory), std::invalid_argument);
+    Rng rng(1);
+    EXPECT_THROW(Engine::FromTrained(bad, WarmClassifier(rng), 0),
+                 std::invalid_argument);
+    EXPECT_THROW(Engine::FromArtifact(path, bad), std::invalid_argument);
+  }
+  Engine edited = Engine::FromArtifact(path, EngineConfig{});
+  edited.config().batch_size = 0;  // after construction, past the check
+  EXPECT_THROW((void)edited.Features(Tensor({2, kIn})), std::invalid_argument);
+  Rng rng(2);
+  EXPECT_THROW((void)edited.Evaluate(RandomData(4, rng)),
+               std::invalid_argument);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Prefix chunking
+// ---------------------------------------------------------------------------
+
+/// Features runs the float prefix in config().batch_size chunks; every chunk
+/// size, including one row and more rows than the batch holds, yields the
+/// bytes of one InferPrefix call over the whole batch.
+TEST(Engine, FeaturesIndependentOfChunkSize) {
+  constexpr std::int64_t kRows = 70;
+  for (const std::string name : {"ecg", "eeg", "image"}) {
+    const serve::DemoTask task = serve::MakeDemoTask(name);
+    Shape shape = task.train.x.shape();
+    ASSERT_GE(shape[0], kRows) << name;
+    const std::int64_t sample = task.train.x.size() / shape[0];
+    shape[0] = kRows;
+    const Tensor x(shape, std::vector<float>(task.train.x.data(),
+                                             task.train.x.data() +
+                                                 kRows * sample));
+    Rng oracle_rng(5);
+    const ModelSpec oracle_spec =
+        task.factory(serve::DemoServingConfig(1), oracle_rng);
+    Tensor expected =
+        core::InferPrefix(oracle_spec.net, x, oracle_spec.classifier_start);
+    expected = expected.Reshape({kRows, -1});
+    for (const std::int64_t chunk : {std::int64_t{1}, std::int64_t{3},
+                                     std::int64_t{8}, std::int64_t{64},
+                                     kRows + 1}) {
+      Rng rng(5);
+      ModelSpec spec = task.factory(serve::DemoServingConfig(1), rng);
+      EngineConfig cfg;
+      cfg.batch_size = chunk;
+      Engine eng = Engine::FromTrained(cfg, std::move(spec.net),
+                                       spec.classifier_start);
+      const Tensor features = eng.Features(x);
+      ASSERT_EQ(features.shape(), expected.shape())
+          << name << " batch_size=" << chunk;
+      EXPECT_EQ(std::memcmp(features.data(), expected.data(),
+                            static_cast<std::size_t>(expected.size()) *
+                                sizeof(float)),
+                0)
+          << name << " batch_size=" << chunk;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -81,6 +82,41 @@ TEST(GemmAccumulate, Avx2AndScalarKernelsAgreeBitwise) {
                       static_cast<std::int64_t>(rng.Uniform() * 40),
                       1 + static_cast<std::int64_t>(rng.Uniform() * 80)};
     ExpectKernelsAgree(s, rng);
+  }
+}
+
+/// The strided-B entry point, with rows of B overlapping (ldb < n) as a k x 1
+/// conv reads them, or spread apart (ldb > n), matches the scalar kernel
+/// over a contiguous copy of the same rows.
+TEST(GemmAccumulate, StridedBMatchesScalarBitwise) {
+  Rng rng(31);
+  const std::vector<GemmShape> shapes = {
+      {8, 13, 200}, {8, 15, 3072}, {5, 7, 23}, {3, 1, 17}, {9, 4, 40}};
+  for (const GemmShape& s : shapes) {
+    for (const std::int64_t ldb : {std::int64_t{1}, std::int64_t{16},
+                                   s.n + 5}) {
+      const std::vector<float> a = RandomWithZeros(s.m * s.k, 0.1f, rng);
+      const std::vector<float> plane =
+          RandomWithZeros(std::max<std::int64_t>(s.k, 1) * ldb + s.n, 0.2f,
+                          rng);
+      std::vector<float> dense_b(static_cast<std::size_t>(s.k * s.n));
+      for (std::int64_t kk = 0; kk < s.k; ++kk) {
+        std::copy_n(plane.data() + kk * ldb, s.n, dense_b.data() + kk * s.n);
+      }
+      const std::vector<float> c0 = RandomWithZeros(s.m * s.n, 0.2f, rng);
+      std::vector<float> strided_c = c0, scalar_c = c0;
+      GemmAccumulateStridedB(a.data(), plane.data(), ldb, strided_c.data(),
+                             s.m, s.k, s.n);
+      const bool prev = SetGemmForceScalar(true);
+      GemmAccumulate(a.data(), dense_b.data(), scalar_c.data(), s.m, s.k,
+                     s.n);
+      SetGemmForceScalar(prev);
+      EXPECT_EQ(std::memcmp(strided_c.data(), scalar_c.data(),
+                            strided_c.size() * sizeof(float)),
+                0)
+          << "shape (" << s.m << ", " << s.k << ", " << s.n << "), ldb "
+          << ldb;
+    }
   }
 }
 

@@ -67,6 +67,56 @@ TEST(InferContract, Conv2dMatchesForward) {
   ExpectInferMatchesForward(binary, {2, 2, 8, 5}, 13);
 }
 
+/// Stride-1 k x 1 kernels take Infer's in-place patch path; Forward's
+/// Im2Col columns are the independent oracle.
+TEST(InferContract, ColumnKernelConv2dMatchesForward) {
+  Rng rng(7);
+  // EEG temporal conv: one padded input channel, 192 x 16.
+  Conv2d eeg_temporal(1, 8, 15, 1, rng, Conv2dOptions{.pad_h = 7});
+  ExpectInferMatchesForward(eeg_temporal, {3, 1, 192, 16}, 71);
+  // ECG first conv: 12 unpadded leads, 200 x 1.
+  Conv2d ecg(12, 8, 13, 1, rng);
+  ExpectInferMatchesForward(ecg, {3, 12, 200, 1}, 72);
+  // W > 1 with padding, several channels.
+  Conv2d wide(3, 5, 4, 1, rng, Conv2dOptions{.pad_h = 1});
+  ExpectInferMatchesForward(wide, {2, 3, 11, 6}, 73);
+  // pad_h >= kernel_h / 2, and a padded height beyond the kernel's reach.
+  Conv2d half_pad(2, 3, 5, 1, rng, Conv2dOptions{.pad_h = 3});
+  ExpectInferMatchesForward(half_pad, {2, 2, 9, 3}, 74);
+  Conv2d over_pad(2, 4, 3, 1, rng,
+                  Conv2dOptions{.pad_h = 4, .binary = true, .use_bias = false});
+  ExpectInferMatchesForward(over_pad, {2, 2, 5, 2}, 75);
+  // kernel_h == H: a single output row.
+  Conv2d full_height(4, 6, 10, 1, rng);
+  ExpectInferMatchesForward(full_height, {3, 4, 10, 5}, 76);
+  Conv2d full_padded(1, 3, 7, 1, rng, Conv2dOptions{.pad_h = 2});
+  ExpectInferMatchesForward(full_padded, {2, 1, 3, 4}, 77);
+}
+
+/// Exact +0 and -0 weights: both paths skip them, so a -0 product never
+/// reaches an accumulator that holds +0.
+TEST(InferContract, ColumnKernelConv2dSignedZeroWeights) {
+  Rng rng(8);
+  Conv2d conv(3, 5, 5, 1, rng, Conv2dOptions{.pad_h = 2});
+  RandomizeLayer(conv, rng);
+  Tensor& w = conv.weight().value;
+  for (std::int64_t i = 0; i < w.size(); ++i) {
+    if (i % 3 == 0) w[i] = 0.0f;
+    if (i % 3 == 1) w[i] = -0.0f;
+  }
+  // Whole all-zero channel blocks and rows too.
+  for (std::int64_t i = 0; i < 5; ++i) w[i] = -0.0f;
+  for (std::int64_t i = 0; i < w.dim(1); ++i) w[2 * w.dim(1) + i] = 0.0f;
+  const Tensor x = RandomTensor({2, 3, 17, 3}, rng);
+  const Tensor inferred = conv.Infer(x);
+  const Tensor forward = conv.Forward(x, /*training=*/false);
+  ASSERT_EQ(inferred.shape(), forward.shape());
+  EXPECT_EQ(std::memcmp(inferred.data(), forward.data(),
+                        static_cast<std::size_t>(forward.size()) *
+                            sizeof(float)),
+            0);
+}
+
 TEST(InferContract, DepthwiseConv2dMatchesForward) {
   Rng rng(2);
   DepthwiseConv2d padded(
