@@ -12,18 +12,18 @@ using namespace rrambnn;
 
 namespace {
 
-void Report(const char* name, const core::BnnModel& model) {
+void Report(const char* name, const core::BnnProgram& program) {
   arch::MapperConfig mc;
   mc.macro_rows = 64;
   mc.macro_cols = 64;
   mc.device.sense_offset_sigma = 0.0;
   mc.device.weak_prob_ref = 0.0;
-  arch::MappedBnn mapped(model, mc);
+  arch::MappedBnn mapped(program, mc);
   const arch::CostReport prog = mapped.ProgrammingCost();
   const arch::CostReport inf = mapped.InferenceCost();
   std::printf("%-18s %8lld bits  %5lld macros  util %5.1f%%  "
               "area %7.3f mm2\n", name,
-              static_cast<long long>(model.TotalWeightBits()),
+              static_cast<long long>(program.TotalWeightBits()),
               static_cast<long long>(mapped.num_macros()),
               100.0 * mapped.Utilization(), mapped.AreaMm2());
   std::printf("%-18s program: %8.1f nJ (%llu ops)   inference: %8.1f pJ, "
@@ -55,7 +55,7 @@ int main() {
     for (std::int64_t i = 160; i < 200; ++i) va.push_back(i);
     (void)nn::Fit(built.net, ecg.Subset(tr), ecg.Subset(va), tc);
     const auto compiled =
-        core::CompileClassifier(built.net, built.classifier_start);
+        core::CompileProgram(built.net, built.classifier_start);
     Report("ECG classifier", compiled);
   }
   {
@@ -66,7 +66,7 @@ int main() {
     auto built = models::BuildEegNet(cfg, mrng);
     // Shape-only mapping (untrained BN running stats are valid thresholds).
     const auto compiled =
-        core::CompileClassifier(built.net, built.classifier_start);
+        core::CompileProgram(built.net, built.classifier_start);
     Report("EEG classifier", compiled);
   }
 
@@ -77,7 +77,7 @@ int main() {
     cfg.strategy = core::BinarizationStrategy::kBinaryClassifier;
     auto built = models::BuildEegNet(cfg, mrng);
     const auto compiled =
-        core::CompileClassifier(built.net, built.classifier_start);
+        core::CompileProgram(built.net, built.classifier_start);
     Report("EEG paper-scale", compiled);
   }
   std::printf("\n(The fabricated die of Fig. 2 holds one 32x32 macro = 1K "

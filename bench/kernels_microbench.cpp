@@ -6,7 +6,7 @@
 
 #include "core/bitgemm.h"
 #include "core/bitops.h"
-#include "core/bnn_model.h"
+#include "core/bnn_program.h"
 #include "nn/gemm.h"
 #include "rram/array.h"
 #include "tensor/rng.h"
@@ -49,27 +49,24 @@ void BM_XnorPopcount2520x80(benchmark::State& state) {
 }
 BENCHMARK(BM_XnorPopcount2520x80);
 
-/// Full compiled-BNN classifier inference (hidden + output layer).
-void BM_BnnModelPredict(benchmark::State& state) {
+/// Full compiled dense program inference (hidden + output stage).
+void BM_DenseProgramPredict(benchmark::State& state) {
   Rng rng(3);
-  core::BnnModel model;
-  core::BnnDenseLayer hidden;
-  hidden.weights = core::BitMatrix(80, 2520);
-  hidden.thresholds.assign(80, 1260);
-  model.AddHidden(std::move(hidden));
-  core::BnnOutputLayer out;
-  out.weights = core::BitMatrix(2, 80);
-  out.scale.assign(2, 1.0f);
-  out.offset.assign(2, 0.0f);
-  model.SetOutput(std::move(out));
+  core::BnnProgram program;
+  program.SetInputShape({2520, 1, 1});
+  program.AddStage(core::DenseHiddenStage(core::BitMatrix(80, 2520),
+                                          std::vector<std::int32_t>(80, 1260)));
+  program.AddStage(core::DenseOutputStage(core::BitMatrix(2, 80), {1.0f, 1.0f},
+                                          {0.0f, 0.0f}));
+  program.Validate();
   std::vector<float> xf(2520);
   for (auto& v : xf) v = rng.Normal(0.0f, 1.0f);
   const core::BitVector x = core::BitVector::FromSigns(xf);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.Predict(x));
+    benchmark::DoNotOptimize(program.Predict(x));
   }
 }
-BENCHMARK(BM_BnnModelPredict);
+BENCHMARK(BM_DenseProgramPredict);
 
 /// Random packed matrix for the GEMM benchmarks.
 core::BitMatrix RandomBits(std::int64_t rows, std::int64_t cols,

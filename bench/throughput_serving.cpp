@@ -25,7 +25,7 @@
 
 #include "core/bitgemm.h"
 #include "core/bitops.h"
-#include "core/bnn_model.h"
+#include "core/bnn_program.h"
 #include "engine/registry.h"
 #include "tensor/rng.h"
 
@@ -35,28 +35,28 @@ using namespace rrambnn;
 
 constexpr std::int64_t kIn = 2520, kHidden = 80, kClasses = 2;
 
-core::BnnModel EegGeometryModel(Rng& rng) {
-  core::BnnModel model;
-  core::BnnDenseLayer hidden;
-  hidden.weights = core::BitMatrix(kHidden, kIn);
-  for (std::int64_t r = 0; r < kHidden; ++r) {
-    for (std::int64_t c = 0; c < kIn; ++c) {
-      hidden.weights.Set(r, c, rng.Bernoulli(0.5) ? +1 : -1);
+core::BitMatrix RandomBits(std::int64_t rows, std::int64_t cols, Rng& rng) {
+  core::BitMatrix m(rows, cols);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < cols; ++c) {
+      m.Set(r, c, rng.Bernoulli(0.5) ? +1 : -1);
     }
   }
-  hidden.thresholds.assign(kHidden, static_cast<std::int32_t>(kIn / 2));
-  model.AddHidden(std::move(hidden));
-  core::BnnOutputLayer out;
-  out.weights = core::BitMatrix(kClasses, kHidden);
-  for (std::int64_t r = 0; r < kClasses; ++r) {
-    for (std::int64_t c = 0; c < kHidden; ++c) {
-      out.weights.Set(r, c, rng.Bernoulli(0.5) ? +1 : -1);
-    }
-  }
-  out.scale.assign(kClasses, 1.0f);
-  out.offset.assign(kClasses, 0.0f);
-  model.SetOutput(std::move(out));
-  return model;
+  return m;
+}
+
+core::BnnProgram EegGeometryProgram(Rng& rng) {
+  core::BnnProgram program;
+  program.SetInputShape({kIn, 1, 1});
+  core::BitMatrix hidden = RandomBits(kHidden, kIn, rng);
+  program.AddStage(core::DenseHiddenStage(
+      std::move(hidden),
+      std::vector<std::int32_t>(kHidden, static_cast<std::int32_t>(kIn / 2))));
+  program.AddStage(core::DenseOutputStage(
+      RandomBits(kClasses, kHidden, rng), std::vector<float>(kClasses, 1.0f),
+      std::vector<float>(kClasses, 0.0f)));
+  program.Validate();
+  return program;
 }
 
 struct Result {
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   const double min_seconds = smoke ? 0.05 : 0.4;
 
   Rng rng(1);
-  const core::BnnModel model = EegGeometryModel(rng);
+  const core::BnnProgram program = EegGeometryProgram(rng);
   Tensor features({n, kIn});
   rng.FillNormal(features, 0.0f, 1.0f);
 
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
 
   // -- reference, legacy per-row serving loop (the pre-batching path) -------
   {
-    auto backend = engine::MakeBackend("reference", model, spec);
+    auto backend = engine::MakeBackend("reference", program, spec);
     std::vector<std::int64_t> preds(static_cast<std::size_t>(n));
     const double rps = MeasureRowsPerSec(n, min_seconds, [&] {
       for (std::int64_t i = 0; i < n; ++i) {
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
   // -- reference, packed batch API, batch-size sweep ------------------------
   for (const std::int64_t batch : {std::int64_t{1}, std::int64_t{16},
                                    std::int64_t{64}, std::int64_t{256}, n}) {
-    auto backend = engine::MakeBackend("reference", model, spec);
+    auto backend = engine::MakeBackend("reference", program, spec);
     const double rps = MeasureRowsPerSec(n, min_seconds, [&] {
       for (std::int64_t start = 0; start < n; start += batch) {
         const std::int64_t stop = std::min(n, start + batch);
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
 
   // -- fault backend through the batched path -------------------------------
   {
-    auto backend = engine::MakeBackend("fault", model, spec);
+    auto backend = engine::MakeBackend("fault", program, spec);
     const core::BitMatrix packed = core::BitMatrix::FromSignRows(
         std::span<const float>(features.data(),
                                static_cast<std::size_t>(n * kIn)),
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
 
   // -- single-fabric rram: per-row transaction-level simulation -------------
   {
-    auto backend = engine::MakeBackend("rram", model, spec);
+    auto backend = engine::MakeBackend("rram", program, spec);
     std::vector<std::int64_t> preds(static_cast<std::size_t>(n_rram));
     const double rps = MeasureRowsPerSec(n_rram, min_seconds, [&] {
       for (std::int64_t i = 0; i < n_rram; ++i) {
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
   // -- sharded multi-fabric rram, shard sweep -------------------------------
   for (const int shards : {1, 2, 4, 8}) {
     spec.rram_shards = shards;
-    auto backend = engine::MakeBackend("rram-sharded", model, spec);
+    auto backend = engine::MakeBackend("rram-sharded", program, spec);
     const core::BitMatrix packed = core::BitMatrix::FromSignRows(
         std::span<const float>(features.data(),
                                static_cast<std::size_t>(n_rram * kIn)),

@@ -45,9 +45,6 @@ MappedBnn::MappedBnn(const core::BnnProgram& program,
   }
 }
 
-MappedBnn::MappedBnn(const core::BnnModel& model, const MapperConfig& config)
-    : MappedBnn(core::BnnProgram::FromClassifier(model), config) {}
-
 MappedBnn::MappedLayer MappedBnn::MapMatrix(const core::BitMatrix& weights) {
   MappedLayer layer;
   layer.in_features = weights.cols();

@@ -23,7 +23,6 @@
 
 #include "arch/energy_model.h"
 #include "arch/xnor_macro.h"
-#include "core/bnn_model.h"
 #include "core/bnn_program.h"
 
 namespace rrambnn::arch {
@@ -43,11 +42,6 @@ struct MapperConfig {
 class MappedBnn {
  public:
   MappedBnn(const core::BnnProgram& program, const MapperConfig& config);
-
-  /// Dense-classifier convenience: lifts the model via
-  /// core::BnnProgram::FromClassifier (bit-identical fabric — the macro
-  /// seed draw order matches the historical per-layer mapping).
-  MappedBnn(const core::BnnModel& model, const MapperConfig& config);
 
   std::int64_t num_classes() const { return program_.num_classes(); }
   std::int64_t input_size() const { return program_.input_size(); }

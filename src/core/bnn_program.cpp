@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -429,49 +430,39 @@ BitMatrix BuildPatchMatrix(const BitMatrix& batch, const StageGeometry& geom,
   return BitMatrix::FromWords(n * patches, patch_bits, std::move(words));
 }
 
-BnnProgram BnnProgram::FromClassifier(const BnnModel& model) {
-  BnnProgram program;
-  program.SetInputShape({model.input_size(), 1, 1});
-  for (const BnnDenseLayer& layer : model.hidden()) {
-    ProgramStage stage;
-    stage.kind = StageKind::kPackedGemm;
-    stage.gemm.lowering = GemmLowering::kDense;
-    stage.gemm.weights = layer.weights;
-    stage.gemm.thresholds = layer.thresholds;
-    stage.out_shape = {layer.out_features(), 1, 1};
-    program.AddStage(std::move(stage));
+std::vector<std::int64_t> ArgmaxRows(std::span<const float> scores,
+                                     std::int64_t rows,
+                                     std::int64_t classes) {
+  if (static_cast<std::int64_t>(scores.size()) != rows * classes) {
+    throw std::invalid_argument("ArgmaxRows: score count mismatch");
   }
-  const BnnOutputLayer& out = model.output();
-  ProgramStage stage;
-  stage.kind = StageKind::kPackedGemm;
-  stage.gemm.lowering = GemmLowering::kDense;
-  stage.gemm.weights = out.weights;
-  stage.gemm.is_output = true;
-  stage.gemm.scale = out.scale;
-  stage.gemm.offset = out.offset;
-  stage.out_shape = {out.num_classes(), 1, 1};
-  program.AddStage(std::move(stage));
-  return program;
+  std::vector<std::int64_t> preds(static_cast<std::size_t>(rows));
+  for (std::int64_t i = 0; i < rows; ++i) {
+    const float* row = scores.data() + i * classes;
+    preds[static_cast<std::size_t>(i)] =
+        std::distance(row, std::max_element(row, row + classes));
+  }
+  return preds;
 }
 
-BnnModel BnnProgram::ToClassifier() const {
-  if (!IsPureDense() || stages_.empty() || !stages_.back().gemm.is_output) {
-    throw std::logic_error(
-        "BnnProgram: not a pure dense classifier; no BnnModel form exists");
-  }
-  BnnModel model;
-  for (std::size_t i = 0; i + 1 < stages_.size(); ++i) {
-    BnnDenseLayer layer;
-    layer.weights = stages_[i].gemm.weights;
-    layer.thresholds = stages_[i].gemm.thresholds;
-    model.AddHidden(std::move(layer));
-  }
-  BnnOutputLayer out;
-  out.weights = stages_.back().gemm.weights;
-  out.scale = stages_.back().gemm.scale;
-  out.offset = stages_.back().gemm.offset;
-  model.SetOutput(std::move(out));
-  return model;
+ProgramStage DenseHiddenStage(BitMatrix weights,
+                              std::vector<std::int32_t> thresholds) {
+  ProgramStage stage;
+  stage.out_shape = {weights.rows(), 1, 1};
+  stage.gemm.weights = std::move(weights);
+  stage.gemm.thresholds = std::move(thresholds);
+  return stage;
+}
+
+ProgramStage DenseOutputStage(BitMatrix weights, std::vector<float> scale,
+                              std::vector<float> offset) {
+  ProgramStage stage;
+  stage.out_shape = {weights.rows(), 1, 1};
+  stage.gemm.weights = std::move(weights);
+  stage.gemm.is_output = true;
+  stage.gemm.scale = std::move(scale);
+  stage.gemm.offset = std::move(offset);
+  return stage;
 }
 
 bool BnnProgram::IsPureDense() const {
@@ -711,6 +702,29 @@ std::int64_t BnnProgram::TotalWeightBits() const {
 
 namespace {
 
+/// Upper bound on the counts a program declares: shape dimensions,
+/// activation bits, padding, kernel heights, patch widths, patch counts and
+/// threshold counts. Popcounts and thresholds are int32, and with both
+/// factors at most this bound no product can overflow int64 — so a program
+/// read from untrusted bytes is checked before any arithmetic on its shapes
+/// could overflow.
+constexpr std::int64_t kMaxCount = std::numeric_limits<std::int32_t>::max();
+
+/// a * b for a, b in [0, kMaxCount]; throws when any of them, or the
+/// product, leaves that range.
+std::int64_t BoundedProduct(std::int64_t a, std::int64_t b,
+                            const std::string& what) {
+  if (a < 0 || b < 0 || a > kMaxCount || b > kMaxCount || a * b > kMaxCount) {
+    throw std::invalid_argument(what + " exceeds " +
+                                std::to_string(kMaxCount));
+  }
+  return a * b;
+}
+
+std::int64_t ShapeBits(const StageShape& s, const std::string& what) {
+  return BoundedProduct(BoundedProduct(s.c, s.h, what), s.w, what);
+}
+
 void CheckGeometry(const StageGeometry& g, const StageShape& in,
                    std::size_t index, const char* what) {
   const std::string at = std::string("BnnProgram: stage ") +
@@ -726,17 +740,38 @@ void CheckGeometry(const StageGeometry& g, const StageShape& in,
     throw std::invalid_argument(
         at + "kernel_w > 64 exceeds the word-gather contract");
   }
+  // The input dims are bounded by the caller's shape check. Bounded pads
+  // keep in + 2 * pad, and so OutH / OutW, far from overflow; a bounded
+  // kernel_h keeps kernel_h * kernel_w (<= 64) too.
+  if (g.pad_h > kMaxCount || g.pad_w > kMaxCount || g.kernel_h > kMaxCount) {
+    throw std::invalid_argument(at + "padding or kernel exceeds " +
+                                std::to_string(kMaxCount));
+  }
   if (g.OutH() < 1 || g.OutW() < 1) {
     throw std::invalid_argument(at + "kernel does not fit the input");
   }
+  (void)BoundedProduct(g.OutH(), g.OutW(), at + "patch count");
 }
 
+/// Threshold count, and each threshold in [0, in + 1] for a row of `in`
+/// bits: outside that range a neuron is constant in a way BN folding over
+/// finite statistics never produces (FoldThreshold clamps to it).
 void CheckThresholds(const PackedGemmStage& g, std::size_t index) {
-  const std::size_t expected = static_cast<std::size_t>(
-      g.per_pixel_thresholds ? g.units() * g.num_patches() : g.units());
-  if (g.thresholds.size() != expected) {
-    throw std::invalid_argument("BnnProgram: stage " + std::to_string(index) +
-                                " threshold count mismatch");
+  const std::string at = "BnnProgram: stage " + std::to_string(index) + " ";
+  const std::int64_t expected =
+      g.per_pixel_thresholds
+          ? BoundedProduct(g.units(), g.num_patches(), at + "threshold count")
+          : g.units();
+  if (static_cast<std::int64_t>(g.thresholds.size()) != expected) {
+    throw std::invalid_argument(at + "threshold count mismatch");
+  }
+  const std::int64_t width = g.weights.cols();
+  for (const std::int32_t t : g.thresholds) {
+    if (t < 0 || t > width + 1) {
+      throw std::invalid_argument(at + "threshold " + std::to_string(t) +
+                                  " outside [0, " + std::to_string(width + 1) +
+                                  "]");
+    }
   }
 }
 
@@ -746,6 +781,7 @@ void BnnProgram::Validate() const {
   if (input_shape_.c < 1 || input_shape_.h < 1 || input_shape_.w < 1) {
     throw std::invalid_argument("BnnProgram: non-positive input shape");
   }
+  (void)ShapeBits(input_shape_, "BnnProgram: input shape bit count");
   if (stages_.empty()) {
     throw std::invalid_argument("BnnProgram: empty program");
   }
@@ -770,7 +806,9 @@ void BnnProgram::Validate() const {
             break;
           case GemmLowering::kConv:
             CheckGeometry(g.geom, shape, i, "conv");
-            if (g.weights.cols() != g.geom.PatchSize()) {
+            if (g.weights.cols() !=
+                BoundedProduct(g.geom.in_channels, g.geom.ChannelPatchSize(),
+                               "BnnProgram: conv patch width")) {
               throw std::invalid_argument("BnnProgram: stage " +
                                           std::to_string(i) +
                                           " conv patch width mismatch");
@@ -810,7 +848,8 @@ void BnnProgram::Validate() const {
         shape = {shape.c, stage.pool.geom.OutH(), stage.pool.geom.OutW()};
         break;
       case StageKind::kReshape:
-        if (stage.out_shape.bits() != shape.bits()) {
+        if (ShapeBits(stage.out_shape, "BnnProgram: reshape bit count") !=
+            shape.bits()) {
           throw std::invalid_argument("BnnProgram: reshape changes bit count");
         }
         shape = stage.out_shape;
@@ -818,6 +857,7 @@ void BnnProgram::Validate() const {
       case StageKind::kSign:
         break;
     }
+    (void)ShapeBits(shape, "BnnProgram: stage output bit count");
     if (!(stage.out_shape == shape)) {
       throw std::invalid_argument("BnnProgram: stage " + std::to_string(i) +
                                   " output shape mismatch");

@@ -1,7 +1,8 @@
-// Compiled multi-stage binarized program: the generalization of BnnModel
-// from a dense-only classifier to an ordered list of packed stages, so
-// binarized convolutional networks (MobileNet-class) run on the same
-// XNOR-popcount substrate as the paper's dense medical classifiers.
+// Compiled multi-stage binarized program, the one compiled form every
+// backend, the RRAM mapper, health and serde execute: an ordered list of
+// packed stages, so the paper's dense medical classifiers and binarized
+// convolutional networks (MobileNet-class) run on the same XNOR-popcount
+// substrate. A dense classifier is the one-GEMM-stage-per-layer case.
 //
 // A BnnProgram is a chain of stages over packed {-1,+1} activations laid out
 // in CHW bit order (channel-major, then rows, then columns — exactly the
@@ -9,7 +10,7 @@
 // no-op):
 //
 //   kPackedGemm  one weight matrix executed by XNOR-popcount.
-//                kDense:      weights [units, in_bits]   (the BnnModel case)
+//                kDense:      weights [units, in_bits]
 //                kConv:       weights [units, C*kh*kw]   — each output pixel
 //                             gathers an im2col patch of the input bits and
 //                             multiplies it against every unit row
@@ -29,11 +30,6 @@
 // float reference pads with 0.0. Compilation absorbs the difference into
 // *per-pixel* thresholds (see FoldThresholdPadded in compile.cpp), so
 // per_pixel_thresholds is true exactly for padded conv stages.
-//
-// BnnModel remains the pure-dense special case: FromClassifier /
-// ToClassifier convert losslessly, and a program compiled from a dense
-// grammar is structurally identical to the BnnModel CompileClassifier
-// produces.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +38,14 @@
 #include <vector>
 
 #include "core/bitops.h"
-#include "core/bnn_model.h"
 #include "tensor/tensor.h"
 
 namespace rrambnn::core {
+
+/// Argmax per row of a row-major [rows, classes] score matrix; the first
+/// maximum wins, matching single-row Predict() everywhere.
+std::vector<std::int64_t> ArgmaxRows(std::span<const float> scores,
+                                     std::int64_t rows, std::int64_t classes);
 
 /// Activation shape between stages. Dense activations are {bits, 1, 1}.
 struct StageShape {
@@ -170,23 +170,23 @@ struct StageSubstrate {
   const std::int32_t* pop_bias = nullptr;
 };
 
+/// Dense hidden stage: weights [units, in], one popcount threshold per unit.
+ProgramStage DenseHiddenStage(BitMatrix weights,
+                              std::vector<std::int32_t> thresholds);
+
+/// Dense output stage: weights [classes, in] and the per-class affine over
+/// the +/-1 dot.
+ProgramStage DenseOutputStage(BitMatrix weights, std::vector<float> scale,
+                              std::vector<float> offset);
+
 /// The compiled multi-stage program. Construction: SetInputShape, then
 /// AddStage in execution order, then Validate (compile.cpp does all three).
 class BnnProgram {
  public:
   BnnProgram() = default;
 
-  /// Lossless lift of a dense classifier into the one-GEMM-per-layer
-  /// program (input shape {input_size, 1, 1}).
-  static BnnProgram FromClassifier(const BnnModel& model);
-
-  /// Inverse of FromClassifier; throws std::logic_error unless
-  /// IsPureDense().
-  BnnModel ToClassifier() const;
-
-  /// True when every stage is a dense GEMM — the BnnModel-expressible case
-  /// (serialized as the legacy "compiled-bnn" chunk for byte-stable dense
-  /// artifacts).
+  /// True when every stage is a dense GEMM — a dense classifier (serialized
+  /// as the "compiled-bnn" chunk, so dense artifacts stay byte-stable).
   bool IsPureDense() const;
 
   void SetInputShape(StageShape shape) { input_shape_ = shape; }
@@ -233,8 +233,11 @@ class BnnProgram {
 
   /// Structural validation: stage chaining over shapes, geometry sanity
   /// (kernel_w <= 64 — the word-level patch gather's contract), threshold /
-  /// affine sizes, exactly one output stage and it is dense and last.
-  /// Throws std::invalid_argument on inconsistency.
+  /// affine sizes, every hidden threshold in [0, row width + 1], exactly
+  /// one output stage and it is dense and last. Shapes, padding and derived
+  /// counts are bounded by INT32_MAX and checked without overflowing, so
+  /// this is safe on programs read from untrusted bytes. Throws
+  /// std::invalid_argument on inconsistency.
   void Validate() const;
 
   /// One-line stage summary, e.g.

@@ -170,105 +170,6 @@ PackedGemmStage LowerConvStage(GemmLowering lowering, const StageGeometry& g,
 
 }  // namespace
 
-BnnModel CompileClassifier(const nn::Sequential& model,
-                           std::size_t start_layer) {
-  if (start_layer >= model.size()) {
-    throw std::invalid_argument("CompileClassifier: start_layer out of range");
-  }
-  BnnModel compiled;
-  std::size_t i = start_layer;
-
-  // Leading Flatten / Dropout / Sign layers are structural no-ops for the
-  // compiled network (input arrives packed by sign already).
-  while (i < model.size() && IsSkippableLead(model[i])) ++i;
-
-  while (i < model.size()) {
-    const nn::Dense* dense = AsBinaryDense(model[i], "CompileClassifier");
-    if (dense == nullptr) {
-      const nn::Layer& layer = model[i];
-      if (dynamic_cast<const nn::Conv2d*>(&layer) != nullptr ||
-          dynamic_cast<const nn::DepthwiseConv2d*>(&layer) != nullptr ||
-          dynamic_cast<const nn::Pool2d*>(&layer) != nullptr ||
-          dynamic_cast<const nn::GlobalAvgPool*>(&layer) != nullptr) {
-        throw std::invalid_argument(
-            "CompileClassifier: '" + layer.Describe() + "' (" + layer.Name() +
-            ") at position " + std::to_string(i) +
-            " is a convolution/pooling layer the dense-only grammar cannot "
-            "lower; compile through CompileProgram, or move classifier_start "
-            "(currently " +
-            std::to_string(start_layer) +
-            ") past the convolutional feature extractor");
-      }
-      throw std::invalid_argument(
-          "CompileClassifier: unsupported layer '" + layer.Describe() +
-          "' at position " + std::to_string(i));
-    }
-    ++i;
-    const nn::BatchNorm* bn = nullptr;
-    if (i < model.size()) {
-      bn = dynamic_cast<const nn::BatchNorm*>(&model[i]);
-      if (bn != nullptr) ++i;
-    }
-    // A Sign after (Dense, BN?) makes this a hidden layer; otherwise it is
-    // the output layer and must be last (modulo trailing dropout).
-    bool is_hidden = false;
-    if (i < model.size() &&
-        dynamic_cast<const nn::SignSte*>(&model[i]) != nullptr) {
-      is_hidden = true;
-      ++i;
-    }
-
-    const std::int64_t out = dense->out_features();
-    const std::int64_t in = dense->in_features();
-    const Tensor w_eff = dense->EffectiveWeight();
-    BitMatrix weights = BitMatrix::FromSigns(
-        std::span<const float>(w_eff.data(),
-                               static_cast<std::size_t>(w_eff.size())),
-        out, in);
-
-    if (is_hidden) {
-      BnnDenseLayer layer;
-      layer.thresholds.resize(static_cast<std::size_t>(out));
-      for (std::int64_t j = 0; j < out; ++j) {
-        bool flip = false;
-        const FoldedAffine f = FoldNeuron(*dense, bn, j);
-        layer.thresholds[static_cast<std::size_t>(j)] =
-            FoldThreshold(f, in, &flip);
-        if (flip) weights.FlipRow(j);
-      }
-      layer.weights = std::move(weights);
-      compiled.AddHidden(std::move(layer));
-      // Dropout between blocks is an inference no-op.
-      while (i < model.size() &&
-             dynamic_cast<const nn::Dropout*>(&model[i]) != nullptr) {
-        ++i;
-      }
-      continue;
-    }
-
-    BnnOutputLayer out_layer;
-    out_layer.scale.resize(static_cast<std::size_t>(out));
-    out_layer.offset.resize(static_cast<std::size_t>(out));
-    for (std::int64_t j = 0; j < out; ++j) {
-      const FoldedAffine f = FoldNeuron(*dense, bn, j);
-      out_layer.scale[static_cast<std::size_t>(j)] =
-          static_cast<float>(f.scale);
-      out_layer.offset[static_cast<std::size_t>(j)] =
-          static_cast<float>(f.offset);
-    }
-    out_layer.weights = std::move(weights);
-    compiled.SetOutput(std::move(out_layer));
-    if (i != model.size()) {
-      throw std::invalid_argument(
-          "CompileClassifier: layers after the output dense layer");
-    }
-    compiled.Validate();
-    return compiled;
-  }
-  throw std::invalid_argument(
-      "CompileClassifier: model ended without an output dense layer");
-}
-
 BnnProgram CompileProgram(const nn::Sequential& model, std::size_t start_layer,
                           StageShape input_shape) {
   if (start_layer >= model.size()) {
@@ -514,28 +415,6 @@ Tensor InferPrefix(const nn::Sequential& model, const Tensor& x,
     y = model[i].Infer(y);
   }
   return y;
-}
-
-double HybridAccuracy(nn::Sequential& feature_extractor, std::size_t split,
-                      const BnnModel& classifier, const nn::Dataset& data,
-                      std::int64_t batch_size) {
-  data.Validate();
-  if (data.size() == 0) return 0.0;
-  std::int64_t hits = 0;
-  for (std::int64_t start = 0; start < data.size(); start += batch_size) {
-    const std::int64_t stop = std::min(data.size(), start + batch_size);
-    std::vector<std::int64_t> idx;
-    idx.reserve(static_cast<std::size_t>(stop - start));
-    for (std::int64_t i = start; i < stop; ++i) idx.push_back(i);
-    const nn::Dataset batch = data.Subset(idx);
-    Tensor features = ForwardPrefix(feature_extractor, batch.x, split);
-    if (features.rank() > 2) features = features.Reshape({stop - start, -1});
-    const std::vector<std::int64_t> preds = classifier.PredictBatch(features);
-    for (std::size_t i = 0; i < preds.size(); ++i) {
-      if (preds[i] == batch.y[i]) ++hits;
-    }
-  }
-  return static_cast<double>(hits) / static_cast<double>(data.size());
 }
 
 }  // namespace rrambnn::core

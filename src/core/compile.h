@@ -3,13 +3,7 @@
 // gains are absorbed by flipping row weights, dropout vanishes, and the
 // output layer keeps a per-class affine so argmax matches training.
 //
-// Two entry points share the folding arithmetic:
-//
-// CompileClassifier — the dense-only grammar, producing a BnnModel:
-//   [Flatten] [Dropout|Sign]* ( BinaryDense [BatchNorm] Sign [Dropout]* )*
-//   BinaryDense [BatchNorm]
-//
-// CompileProgram — the per-operator walk, producing a core::BnnProgram of
+// CompileProgram is the per-operator walk, producing a core::BnnProgram of
 // packed stages. Grammar, starting at `start_layer` (leading Flatten /
 // Dropout / Sign are absorbed into the input packing; Dropout vanishes
 // everywhere):
@@ -36,6 +30,8 @@
 //     and GlobalAvgPool produce non-binary values and do not lower — split
 //     the network so they stay in the float prefix.
 //   - kernel_w <= 64 (the word-level patch gather's contract).
+//   - A dense-only network (the paper's binarized classifiers) compiles to
+//     one dense GEMM stage per layer, the last one the output stage.
 //
 // Artifact layout: a pure-dense program serializes as the legacy
 // "compiled-bnn" chunk (byte-identical to pre-program artifacts); anything
@@ -48,25 +44,16 @@
 
 #include <cstddef>
 
-#include "core/bnn_model.h"
 #include "core/bnn_program.h"
-#include "nn/dataset.h"
 #include "nn/sequential.h"
 
 namespace rrambnn::core {
-
-/// Compiles layers [start_layer, end) of `model` into a BnnModel
-/// (dense-only grammar).
-BnnModel CompileClassifier(const nn::Sequential& model,
-                           std::size_t start_layer = 0);
 
 /// Compiles layers [start_layer, end) of `model` into a BnnProgram through
 /// the per-operator walk above. `input_shape` is the per-sample activation
 /// shape entering `start_layer` ({C, H, W}, or {F, 1, 1} for dense inputs);
 /// a default-constructed shape is inferred from the first layer when it is
 /// dense, and rejected otherwise (conv stages need the spatial extent).
-/// A dense-only grammar compiles to a program whose stage weights and
-/// thresholds are bit-identical to CompileClassifier's BnnModel.
 BnnProgram CompileProgram(const nn::Sequential& model,
                           std::size_t start_layer = 0,
                           StageShape input_shape = {});
@@ -81,11 +68,5 @@ Tensor ForwardPrefix(nn::Sequential& model, const Tensor& x,
 /// threads may run it at once on a frozen network (the serving hot path).
 Tensor InferPrefix(const nn::Sequential& model, const Tensor& x,
                    std::size_t end_layer);
-
-/// Accuracy of the hybrid pipeline: float feature extractor (layers
-/// [0, split)) followed by the compiled binary classifier.
-double HybridAccuracy(nn::Sequential& feature_extractor, std::size_t split,
-                      const BnnModel& classifier, const nn::Dataset& data,
-                      std::int64_t batch_size = 64);
 
 }  // namespace rrambnn::core

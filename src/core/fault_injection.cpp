@@ -29,18 +29,6 @@ std::int64_t InjectFaults(BitMatrix& matrix, double ber, Rng& rng) {
       [&matrix](std::int64_t r, std::int64_t c) { matrix.Flip(r, c); });
 }
 
-FaultInjectionReport InjectWeightFaults(BnnModel& model, double ber,
-                                        Rng& rng) {
-  FaultInjectionReport report;
-  for (auto& layer : model.hidden()) {
-    report.total_bits += layer.weights.bits();
-    report.flipped_bits += InjectFaults(layer.weights, ber, rng);
-  }
-  report.total_bits += model.output().weights.bits();
-  report.flipped_bits += InjectFaults(model.output().weights, ber, rng);
-  return report;
-}
-
 FaultInjectionReport InjectWeightFaults(BnnProgram& program, double ber,
                                         Rng& rng) {
   FaultInjectionReport report;

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "core/bnn_model.h"
 #include "core/bnn_program.h"
 #include "tensor/rng.h"
 
@@ -34,12 +33,8 @@ std::int64_t ForEachFaultSite(
 /// Flips each weight bit of `matrix` independently with probability `ber`.
 std::int64_t InjectFaults(BitMatrix& matrix, double ber, Rng& rng);
 
-/// Applies InjectFaults to every layer of a compiled model.
-FaultInjectionReport InjectWeightFaults(BnnModel& model, double ber, Rng& rng);
-
 /// Applies InjectFaults to every GEMM stage of a compiled program, in stage
-/// order (for a pure-dense program the draw order matches the BnnModel
-/// overload bit for bit).
+/// order (for a dense classifier: each hidden layer, then the output layer).
 FaultInjectionReport InjectWeightFaults(BnnProgram& program, double ber,
                                         Rng& rng);
 

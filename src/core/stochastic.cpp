@@ -25,13 +25,14 @@ std::vector<BitVector> StochasticEncoder::Encode(
 }
 
 std::vector<float> StochasticEncoder::AverageScores(
-    const BnnModel& model, const std::vector<BitVector>& streams) {
+    const BnnProgram& program, const std::vector<BitVector>& streams) {
   if (streams.empty()) {
     throw std::invalid_argument("AverageScores: no streams");
   }
-  std::vector<float> mean(static_cast<std::size_t>(model.num_classes()), 0.0f);
+  std::vector<float> mean(static_cast<std::size_t>(program.num_classes()),
+                          0.0f);
   for (const BitVector& s : streams) {
-    const std::vector<float> scores = model.Scores(s);
+    const std::vector<float> scores = program.Scores(s);
     for (std::size_t k = 0; k < mean.size(); ++k) mean[k] += scores[k];
   }
   const float inv = 1.0f / static_cast<float>(streams.size());
@@ -39,11 +40,11 @@ std::vector<float> StochasticEncoder::AverageScores(
   return mean;
 }
 
-std::int64_t StochasticEncoder::Predict(const BnnModel& model,
+std::int64_t StochasticEncoder::Predict(const BnnProgram& program,
                                         std::span<const float> features,
                                         std::int64_t streams, Rng& rng) {
   const std::vector<BitVector> encoded = Encode(features, streams, rng);
-  const std::vector<float> scores = AverageScores(model, encoded);
+  const std::vector<float> scores = AverageScores(program, encoded);
   return std::distance(scores.begin(),
                        std::max_element(scores.begin(), scores.end()));
 }

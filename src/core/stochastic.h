@@ -8,7 +8,7 @@
 #include <span>
 #include <vector>
 
-#include "core/bnn_model.h"
+#include "core/bnn_program.h"
 #include "tensor/rng.h"
 
 namespace rrambnn::core {
@@ -20,12 +20,12 @@ class StochasticEncoder {
   static std::vector<BitVector> Encode(std::span<const float> features,
                                        std::int64_t streams, Rng& rng);
 
-  /// Mean class scores of `model` over the encoded streams.
+  /// Mean class scores of `program` over the encoded streams.
   static std::vector<float> AverageScores(
-      const BnnModel& model, const std::vector<BitVector>& streams);
+      const BnnProgram& program, const std::vector<BitVector>& streams);
 
   /// Argmax over AverageScores: stochastic-input prediction.
-  static std::int64_t Predict(const BnnModel& model,
+  static std::int64_t Predict(const BnnProgram& program,
                               std::span<const float> features,
                               std::int64_t streams, Rng& rng);
 };

@@ -4,7 +4,7 @@
 #include <span>
 #include <stdexcept>
 
-#include "core/bnn_model.h"
+#include "core/bnn_program.h"
 
 namespace rrambnn::engine {
 

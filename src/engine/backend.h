@@ -4,9 +4,12 @@
 // extractor, batching, threading) is owned by engine::Engine.
 //
 // Implementations (see engine/backends.h):
-//   ReferenceBackend       exact bit-packed software model (core::BnnModel)
+//   ReferenceBackend       exact bit-packed software execution of the
+//                          compiled core::BnnProgram
 //   RramBackend            simulated 2T2R RRAM fabric (arch::MappedBnn) with
 //                          device non-idealities and energy accounting
+//   ShardedRramBackend     several independently programmed RRAM fabrics
+//                          serving one program, rows sharded across chips
 //   FaultInjectionBackend  software model with i.i.d. weight-bit flips at a
 //                          configurable BER (core::fault_injection)
 #pragma once
@@ -41,7 +44,8 @@ class InferenceBackend {
  public:
   virtual ~InferenceBackend() = default;
 
-  /// Registry key of this backend ("reference", "rram", "fault").
+  /// Registry key of this backend ("reference", "rram", "rram-sharded",
+  /// "fault").
   virtual std::string name() const = 0;
 
   virtual std::int64_t input_size() const = 0;

@@ -28,9 +28,6 @@ ReferenceBackend::ReferenceBackend(core::BnnProgram program)
   program_.Validate();
 }
 
-ReferenceBackend::ReferenceBackend(const core::BnnModel& model)
-    : ReferenceBackend(core::BnnProgram::FromClassifier(model)) {}
-
 std::vector<float> ReferenceBackend::Scores(const core::BitVector& x) {
   return program_.Scores(x);
 }
@@ -61,11 +58,6 @@ FaultInjectionBackend::FaultInjectionBackend(core::BnnProgram program,
   Rng rng(seed_);
   report_ = core::InjectWeightFaults(program_, ber_, rng);
 }
-
-FaultInjectionBackend::FaultInjectionBackend(const core::BnnModel& model,
-                                             double ber, std::uint64_t seed)
-    : FaultInjectionBackend(core::BnnProgram::FromClassifier(model), ber,
-                            seed) {}
 
 void FaultInjectionBackend::CheckChip(int chip) const {
   if (chip != 0) {
@@ -147,10 +139,6 @@ RramBackend::RramBackend(const core::BnnProgram& program,
   // mutates the fabric under what may be only a shared serving lock.
   fabric_.WarmReadback();
 }
-
-RramBackend::RramBackend(const core::BnnModel& model,
-                         const arch::MapperConfig& config)
-    : RramBackend(core::BnnProgram::FromClassifier(model), config) {}
 
 std::vector<float> RramBackend::Scores(const core::BitVector& x) {
   return fabric_.Scores(x);
@@ -279,12 +267,6 @@ ShardedRramBackend::ShardedRramBackend(const core::BnnProgram& program,
   serving_.assign(shards_.size(), 1);
   generations_.assign(shards_.size(), 0);
 }
-
-ShardedRramBackend::ShardedRramBackend(const core::BnnModel& model,
-                                       const arch::MapperConfig& config,
-                                       int num_shards)
-    : ShardedRramBackend(core::BnnProgram::FromClassifier(model), config,
-                         num_shards) {}
 
 void ShardedRramBackend::CheckChip(int chip) const {
   if (chip < 0 || chip >= num_shards()) {

@@ -1,9 +1,7 @@
-// The three built-in execution backends (see engine/backend.h) and the
+// The four built-in execution backends (see engine/backend.h) and the
 // parameter bundle the registry hands every factory. Every backend executes
 // a compiled core::BnnProgram — dense classifiers and im2col-lowered conv
-// networks run through the same substrates; the BnnModel constructors are
-// conveniences that lift the dense special case via
-// core::BnnProgram::FromClassifier.
+// networks run through the same substrates.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +10,6 @@
 #include <vector>
 
 #include "arch/bnn_mapper.h"
-#include "core/bnn_model.h"
 #include "core/bnn_program.h"
 #include "core/fault_injection.h"
 #include "engine/backend.h"
@@ -44,7 +41,6 @@ struct BackendSpec {
 class ReferenceBackend : public InferenceBackend {
  public:
   explicit ReferenceBackend(core::BnnProgram program);
-  explicit ReferenceBackend(const core::BnnModel& model);
 
   std::string name() const override { return "reference"; }
   std::int64_t input_size() const override { return program_.input_size(); }
@@ -75,8 +71,6 @@ class FaultInjectionBackend : public InferenceBackend,
                               public health::BackendHealthAdapter {
  public:
   FaultInjectionBackend(core::BnnProgram program, double ber,
-                        std::uint64_t seed);
-  FaultInjectionBackend(const core::BnnModel& model, double ber,
                         std::uint64_t seed);
 
   std::string name() const override { return "fault"; }
@@ -128,7 +122,6 @@ class RramBackend : public InferenceBackend,
  public:
   RramBackend(const core::BnnProgram& program,
               const arch::MapperConfig& config);
-  RramBackend(const core::BnnModel& model, const arch::MapperConfig& config);
 
   std::string name() const override { return "rram"; }
   std::int64_t input_size() const override { return fabric_.input_size(); }
@@ -195,8 +188,6 @@ class ShardedRramBackend : public InferenceBackend,
                            public health::BackendHealthAdapter {
  public:
   ShardedRramBackend(const core::BnnProgram& program,
-                     const arch::MapperConfig& config, int num_shards);
-  ShardedRramBackend(const core::BnnModel& model,
                      const arch::MapperConfig& config, int num_shards);
 
   std::string name() const override { return "rram-sharded"; }

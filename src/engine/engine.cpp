@@ -193,7 +193,6 @@ nn::FitResult Engine::Train(const nn::Dataset& train, const nn::Dataset& val) {
   classifier_start_ = spec.classifier_start;
   sample_shape_.assign(train.x.shape().begin() + 1, train.x.shape().end());
   compiled_.reset();
-  compiled_dense_.reset();
   health_.reset();  // scoped to the backend it watched
   backend_.reset();
   const nn::FitResult fit = nn::Fit(net_, train, val, config_.train);
@@ -225,7 +224,6 @@ const core::BnnProgram& Engine::Compile() {
   }
   compiled_ = std::make_unique<core::BnnProgram>(
       core::CompileProgram(net_, classifier_start_, input_shape));
-  compiled_dense_.reset();
   health_.reset();
   backend_.reset();
   return *compiled_;
@@ -404,18 +402,6 @@ const core::BnnProgram& Engine::compiled_program() const {
     throw std::logic_error("Engine: no compiled program; call Compile() first");
   }
   return *compiled_;
-}
-
-const core::BnnModel& Engine::compiled_model() const {
-  if (!compiled_) {
-    throw std::logic_error("Engine: no compiled model; call Compile() first");
-  }
-  if (!compiled_dense_) {
-    // Throws std::logic_error for programs with conv/pool stages.
-    compiled_dense_ =
-        std::make_unique<core::BnnModel>(compiled_->ToClassifier());
-  }
-  return *compiled_dense_;
 }
 
 InferenceBackend& Engine::backend() const {

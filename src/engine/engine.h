@@ -208,11 +208,6 @@ class Engine {
   /// The compiled multi-stage program. Throws std::logic_error before
   /// Compile().
   const core::BnnProgram& compiled_program() const;
-  /// Dense-classifier view of the compiled program (lazily materialized and
-  /// cached). Throws std::logic_error before Compile() and for programs with
-  /// conv/pool stages, which have no BnnModel equivalent — use
-  /// compiled_program() there.
-  const core::BnnModel& compiled_model() const;
   InferenceBackend& backend() const;
 
   /// True when the deployed backend exposes a health surface (every
@@ -273,8 +268,6 @@ class Engine {
   std::vector<std::int64_t> sample_shape_;
   bool trained_ = false;
   std::unique_ptr<core::BnnProgram> compiled_;
-  /// compiled_model() compatibility cache (ToClassifier of *compiled_).
-  mutable std::unique_ptr<core::BnnModel> compiled_dense_;
   std::unique_ptr<InferenceBackend> backend_;
   std::unique_ptr<health::HealthManager> health_;  // scoped to backend_
   io::ArtifactLoadInfo artifact_load_info_;

@@ -92,16 +92,4 @@ std::unique_ptr<InferenceBackend> MakeBackend(BackendKind kind,
   return MakeBackend(ToString(kind), program, spec);
 }
 
-std::unique_ptr<InferenceBackend> MakeBackend(const std::string& name,
-                                              const core::BnnModel& model,
-                                              const BackendSpec& spec) {
-  return MakeBackend(name, core::BnnProgram::FromClassifier(model), spec);
-}
-
-std::unique_ptr<InferenceBackend> MakeBackend(BackendKind kind,
-                                              const core::BnnModel& model,
-                                              const BackendSpec& spec) {
-  return MakeBackend(ToString(kind), model, spec);
-}
-
 }  // namespace rrambnn::engine

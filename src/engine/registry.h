@@ -1,6 +1,6 @@
 // String-keyed factory of execution backends. Bench and CLI code selects a
-// substrate by name ("reference", "rram", "fault"); new substrates register
-// themselves without touching Engine or any call site.
+// substrate by name ("reference", "rram", "rram-sharded", "fault"); new
+// substrates register themselves without touching Engine or any call site.
 #pragma once
 
 #include <functional>
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/bnn_model.h"
 #include "core/bnn_program.h"
 #include "engine/backends.h"
 
@@ -30,7 +29,7 @@ std::string ToString(BackendKind kind);
 using BackendFactory = std::function<std::unique_ptr<InferenceBackend>(
     const core::BnnProgram& program, const BackendSpec& spec)>;
 
-/// Process-wide name -> factory map. The three built-in backends are
+/// Process-wide name -> factory map. The four built-in backends are
 /// registered on first access.
 class BackendRegistry {
  public:
@@ -56,20 +55,12 @@ class BackendRegistry {
   std::map<std::string, BackendFactory> factories_;
 };
 
-/// Convenience wrappers over BackendRegistry::Instance().Create. The
-/// BnnModel overloads lift the dense classifier through
-/// core::BnnProgram::FromClassifier.
+/// Convenience wrappers over BackendRegistry::Instance().Create.
 std::unique_ptr<InferenceBackend> MakeBackend(const std::string& name,
                                               const core::BnnProgram& program,
                                               const BackendSpec& spec);
 std::unique_ptr<InferenceBackend> MakeBackend(BackendKind kind,
                                               const core::BnnProgram& program,
-                                              const BackendSpec& spec);
-std::unique_ptr<InferenceBackend> MakeBackend(const std::string& name,
-                                              const core::BnnModel& model,
-                                              const BackendSpec& spec);
-std::unique_ptr<InferenceBackend> MakeBackend(BackendKind kind,
-                                              const core::BnnModel& model,
                                               const BackendSpec& spec);
 
 }  // namespace rrambnn::engine

@@ -34,24 +34,6 @@ void DiffPlane(const core::BitMatrix& golden, const core::BitMatrix& readback,
 
 }  // namespace
 
-BerEstimate DiffBitErrors(const core::BnnModel& golden,
-                          const core::BnnModel& readback) {
-  if (golden.num_hidden() != readback.num_hidden()) {
-    throw std::invalid_argument(
-        "DiffBitErrors: hidden layer count mismatch (" +
-        std::to_string(golden.num_hidden()) + " vs " +
-        std::to_string(readback.num_hidden()) + ")");
-  }
-  BerEstimate estimate;
-  for (std::size_t l = 0; l < golden.num_hidden(); ++l) {
-    DiffPlane(golden.hidden()[l].weights, readback.hidden()[l].weights,
-              "hidden", estimate);
-  }
-  DiffPlane(golden.output().weights, readback.output().weights, "output",
-            estimate);
-  return estimate;
-}
-
 BerEstimate DiffBitErrors(const core::BnnProgram& golden,
                           const core::BnnProgram& readback) {
   const auto g = golden.GemmStages();

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/bnn_model.h"
 #include "core/bnn_program.h"
 
 namespace rrambnn::health {
@@ -66,15 +65,11 @@ struct BerEstimate {
   }
 };
 
-/// Bit-exact diff of the weight planes of `readback` against `golden`
-/// (hidden layers then output layer). Throws std::invalid_argument when the
-/// two models' plane geometries differ — a readback can disagree bit-wise
-/// with the golden model, never structurally.
-BerEstimate DiffBitErrors(const core::BnnModel& golden,
-                          const core::BnnModel& readback);
-
-/// Same diff over the GEMM-stage weight planes of two compiled programs, in
-/// stage order (pooling / reshape / sign stages store no bits).
+/// Bit-exact diff of the GEMM-stage weight planes of `readback` against
+/// `golden`, in stage order (pooling / reshape / sign stages store no bits).
+/// Throws std::invalid_argument when the two programs' plane geometries
+/// differ — a readback can disagree bit-wise with the golden program, never
+/// structurally.
 BerEstimate DiffBitErrors(const core::BnnProgram& golden,
                           const core::BnnProgram& readback);
 

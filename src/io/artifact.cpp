@@ -21,15 +21,15 @@ constexpr char kProgramTag[] = "compiled-program";
 constexpr char kBlobTag[] = "blob-data";
 
 /// Encodes the compiled program under the tag that keeps dense artifacts
-/// byte-stable: a pure-dense program writes the legacy "compiled-bnn"
-/// BnnModel stream (identical to the pre-program writer), anything with
-/// conv/pool stages writes the "compiled-program" stage list.
+/// byte-stable: a pure-dense program writes the "compiled-bnn" layout
+/// (identical to the pre-program writer), anything with conv/pool stages
+/// writes the "compiled-program" stage list.
 std::pair<const char*, std::vector<std::uint8_t>> BuildCompiledChunk(
     const core::BnnProgram& program, BlobArena* arena) {
   ByteWriter w;
   if (arena != nullptr) w.SetBlobArena(arena);
   if (program.IsPureDense()) {
-    SaveBnnModel(program.ToClassifier(), w);
+    SaveDenseProgram(program, w);
     return {kCompiledTag, w.TakeBytes()};
   }
   SaveBnnProgram(program, w);
@@ -229,16 +229,6 @@ void SaveEngineArtifact(const std::string& path,
   WriteChunkFileV2(path, chunks);
 }
 
-void SaveEngineArtifact(const std::string& path,
-                        const engine::EngineConfig& config,
-                        const nn::Sequential& net,
-                        std::size_t classifier_start,
-                        const core::BnnModel& model,
-                        const ArtifactWriteOptions& options) {
-  SaveEngineArtifact(path, config, net, classifier_start,
-                     core::BnnProgram::FromClassifier(model), options);
-}
-
 namespace {
 
 const std::vector<std::uint8_t>* FindChunkOrNull(
@@ -284,7 +274,7 @@ LoadedArtifact ArtifactFromChunks(const std::vector<Chunk>& chunks,
     ByteReader r(FindChunk(chunks, kCompiledTag, path),
                  std::string("chunk '") + kCompiledTag + "'");
     if (blob != nullptr) r.SetBlobSource(*blob, nullptr, /*borrow=*/false);
-    artifact.program = core::BnnProgram::FromClassifier(LoadBnnModel(r));
+    artifact.program = LoadDenseProgram(r);
     r.ExpectExhausted();
   }
   CheckClassifierStart(artifact);
@@ -317,7 +307,7 @@ LoadedArtifact ArtifactFromMapped(MappedArtifact& mapped, bool borrow) {
     const MappedArtifact::ChunkView model = mapped.GetChunk(kCompiledTag);
     ByteReader r(model.bytes, std::string("chunk '") + kCompiledTag + "'");
     r.SetBlobSource(blob.bytes, blob.keepalive, borrow);
-    artifact.program = core::BnnProgram::FromClassifier(LoadBnnModel(r));
+    artifact.program = LoadDenseProgram(r);
     r.ExpectExhausted();
   }
   CheckClassifierStart(artifact);
@@ -424,14 +414,6 @@ std::string DescribeArtifact(const std::string& path) {
     os << "  [" << i << "] " << artifact.net[i].Describe()
        << (i == artifact.classifier_start ? "   <- classifier start" : "")
        << "\n";
-  }
-  if (artifact.program.IsPureDense()) {
-    const core::BnnModel model = artifact.program.ToClassifier();
-    os << "compiled model: " << model.num_hidden()
-       << " hidden layer(s), input " << model.input_size() << ", "
-       << model.num_classes() << " classes, " << model.TotalWeightBits()
-       << " weight bits\n";
-    return os.str();
   }
   const core::BnnProgram& program = artifact.program;
   const core::StageShape& in = program.input_shape();

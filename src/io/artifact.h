@@ -12,14 +12,13 @@
 //   chunk "network"        the trained nn::Sequential (layer-type registry;
 //                          parameter tensors and BatchNorm running
 //                          statistics round-trip bit-exactly)
-//   chunk "compiled-bnn"   the compiled core::BnnModel (packed bit planes,
-//                          integer thresholds, output affine) — written for
-//                          pure-dense programs, byte-for-byte as before the
-//                          multi-stage compiler existed
+//   chunk "compiled-bnn"   a pure-dense compiled core::BnnProgram (packed
+//                          bit planes, integer thresholds, output affine),
+//                          byte-for-byte as before the multi-stage compiler
+//                          existed
 //   chunk "compiled-program"  the compiled core::BnnProgram stage list —
 //                          written instead of "compiled-bnn" when the
-//                          classifier has conv/pool stages (which a BnnModel
-//                          cannot express)
+//                          classifier has conv/pool stages
 //
 // A v2 container adds a fourth chunk:
 //
@@ -43,7 +42,6 @@
 #include <cstddef>
 #include <string>
 
-#include "core/bnn_model.h"
 #include "core/bnn_program.h"
 #include "engine/engine.h"
 #include "io/artifact_info.h"
@@ -61,22 +59,12 @@ void SaveEngineArtifact(const std::string& path,
                         const core::BnnProgram& program,
                         const ArtifactWriteOptions& options = {});
 
-/// Dense-classifier convenience: lifts `model` through
-/// core::BnnProgram::FromClassifier. Produces the same bytes the pre-program
-/// writer did.
-void SaveEngineArtifact(const std::string& path,
-                        const engine::EngineConfig& config,
-                        const nn::Sequential& net, std::size_t classifier_start,
-                        const core::BnnModel& model,
-                        const ArtifactWriteOptions& options = {});
-
 /// Everything SaveEngineArtifact wrote, reconstructed, plus where its bytes
 /// live now (info). When info.mode is kMapped, the program's bit planes and
 /// tensors are zero-copy views pinned to the file mapping; copying them
 /// (backends do, by value) shares the mapping, and any mutation
-/// materializes a private copy automatically. Artifacts carrying only the
-/// legacy "compiled-bnn" chunk arrive lifted through
-/// core::BnnProgram::FromClassifier.
+/// materializes a private copy automatically. A "compiled-bnn" chunk loads
+/// as the equivalent pure-dense program.
 struct LoadedArtifact {
   engine::EngineConfig config;
   nn::Sequential net;

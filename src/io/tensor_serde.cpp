@@ -220,55 +220,79 @@ core::BitMatrix LoadBitMatrix(ByteReader& r) {
   }
 }
 
-void SaveBnnModel(const core::BnnModel& model, ByteWriter& w) {
-  w.WriteU64(model.num_hidden());
-  for (const core::BnnDenseLayer& layer : model.hidden()) {
-    SaveBitMatrix(layer.weights, w);
-    w.WriteU64(layer.thresholds.size());
-    for (const std::int32_t t : layer.thresholds) w.WriteI32(t);
-  }
-  const core::BnnOutputLayer& out = model.output();
-  SaveBitMatrix(out.weights, w);
-  w.WriteU64(out.scale.size());
-  for (const float s : out.scale) w.WriteF32(s);
-  w.WriteU64(out.offset.size());
-  for (const float o : out.offset) w.WriteF32(o);
+namespace {
+
+// Count-prefixed threshold / affine arrays (inline, never blob-routed).
+
+void SaveArray(const std::vector<std::int32_t>& values, ByteWriter& w) {
+  w.WriteU64(values.size());
+  for (const std::int32_t v : values) w.WriteI32(v);
 }
 
-core::BnnModel LoadBnnModel(ByteReader& r) {
-  core::BnnModel model;
-  const std::uint64_t num_hidden = r.ReadU64();
-  for (std::uint64_t i = 0; i < num_hidden; ++i) {
-    core::BnnDenseLayer layer;
-    layer.weights = LoadBitMatrix(r);
-    const std::uint64_t num_thresholds = r.ReadU64();
-    CheckCountFitsPayload(r, num_thresholds, sizeof(std::int32_t),
-                          "threshold");
-    layer.thresholds.resize(static_cast<std::size_t>(num_thresholds));
-    for (auto& t : layer.thresholds) t = r.ReadI32();
-    try {
-      model.AddHidden(std::move(layer));
-    } catch (const std::invalid_argument& e) {
-      throw std::runtime_error(std::string("artifact corrupt: ") + e.what());
-    }
-  }
-  core::BnnOutputLayer out;
-  out.weights = LoadBitMatrix(r);
-  const std::uint64_t num_scale = r.ReadU64();
-  CheckCountFitsPayload(r, num_scale, sizeof(float), "output scale");
-  out.scale.resize(static_cast<std::size_t>(num_scale));
-  for (auto& s : out.scale) s = r.ReadF32();
-  const std::uint64_t num_offset = r.ReadU64();
-  CheckCountFitsPayload(r, num_offset, sizeof(float), "output offset");
-  out.offset.resize(static_cast<std::size_t>(num_offset));
-  for (auto& o : out.offset) o = r.ReadF32();
+void SaveArray(const std::vector<float>& values, ByteWriter& w) {
+  w.WriteU64(values.size());
+  for (const float v : values) w.WriteF32(v);
+}
+
+std::vector<std::int32_t> LoadI32Array(ByteReader& r, const char* what) {
+  const std::uint64_t n = r.ReadU64();
+  CheckCountFitsPayload(r, n, sizeof(std::int32_t), what);
+  std::vector<std::int32_t> values(static_cast<std::size_t>(n));
+  for (auto& v : values) v = r.ReadI32();
+  return values;
+}
+
+std::vector<float> LoadF32Array(ByteReader& r, const char* what) {
+  const std::uint64_t n = r.ReadU64();
+  CheckCountFitsPayload(r, n, sizeof(float), what);
+  std::vector<float> values(static_cast<std::size_t>(n));
+  for (auto& v : values) v = r.ReadF32();
+  return values;
+}
+
+core::BnnProgram ValidatedOrCorrupt(core::BnnProgram program) {
   try {
-    model.SetOutput(std::move(out));
-    model.Validate();
+    program.Validate();
   } catch (const std::invalid_argument& e) {
     throw std::runtime_error(std::string("artifact corrupt: ") + e.what());
   }
-  return model;
+  return program;
+}
+
+}  // namespace
+
+void SaveDenseProgram(const core::BnnProgram& program, ByteWriter& w) {
+  const std::vector<core::ProgramStage>& stages = program.stages();
+  if (!program.IsPureDense() || stages.empty() ||
+      !stages.back().gemm.is_output) {
+    throw std::invalid_argument(
+        "SaveDenseProgram: not a dense classifier program");
+  }
+  w.WriteU64(stages.size() - 1);
+  for (std::size_t i = 0; i + 1 < stages.size(); ++i) {
+    SaveBitMatrix(stages[i].gemm.weights, w);
+    SaveArray(stages[i].gemm.thresholds, w);
+  }
+  const core::PackedGemmStage& out = stages.back().gemm;
+  SaveBitMatrix(out.weights, w);
+  SaveArray(out.scale, w);
+  SaveArray(out.offset, w);
+}
+
+core::BnnProgram LoadDenseProgram(ByteReader& r) {
+  core::BnnProgram program;
+  const std::uint64_t num_hidden = r.ReadU64();
+  for (std::uint64_t i = 0; i < num_hidden; ++i) {
+    core::BitMatrix weights = LoadBitMatrix(r);
+    program.AddStage(core::DenseHiddenStage(std::move(weights),
+                                            LoadI32Array(r, "threshold")));
+  }
+  core::BitMatrix weights = LoadBitMatrix(r);
+  std::vector<float> scale = LoadF32Array(r, "output scale");
+  program.AddStage(core::DenseOutputStage(
+      std::move(weights), std::move(scale), LoadF32Array(r, "output offset")));
+  program.SetInputShape({program.stages().front().gemm.weights.cols(), 1, 1});
+  return ValidatedOrCorrupt(std::move(program));
 }
 
 namespace {
@@ -328,12 +352,9 @@ void SaveBnnProgram(const core::BnnProgram& program, ByteWriter& w) {
         w.WriteU8(g.per_pixel_thresholds ? 1 : 0);
         SaveStageGeometry(g.geom, w);
         SaveBitMatrix(g.weights, w);
-        w.WriteU64(g.thresholds.size());
-        for (const std::int32_t t : g.thresholds) w.WriteI32(t);
-        w.WriteU64(g.scale.size());
-        for (const float s : g.scale) w.WriteF32(s);
-        w.WriteU64(g.offset.size());
-        for (const float o : g.offset) w.WriteF32(o);
+        SaveArray(g.thresholds, w);
+        SaveArray(g.scale, w);
+        SaveArray(g.offset, w);
         break;
       }
       case core::StageKind::kPool:
@@ -374,19 +395,9 @@ core::BnnProgram LoadBnnProgram(ByteReader& r) {
         g.per_pixel_thresholds = r.ReadU8() != 0;
         g.geom = LoadStageGeometry(r);
         g.weights = LoadBitMatrix(r);
-        const std::uint64_t num_thresholds = r.ReadU64();
-        CheckCountFitsPayload(r, num_thresholds, sizeof(std::int32_t),
-                              "stage threshold");
-        g.thresholds.resize(static_cast<std::size_t>(num_thresholds));
-        for (auto& t : g.thresholds) t = r.ReadI32();
-        const std::uint64_t num_scale = r.ReadU64();
-        CheckCountFitsPayload(r, num_scale, sizeof(float), "stage scale");
-        g.scale.resize(static_cast<std::size_t>(num_scale));
-        for (auto& s : g.scale) s = r.ReadF32();
-        const std::uint64_t num_offset = r.ReadU64();
-        CheckCountFitsPayload(r, num_offset, sizeof(float), "stage offset");
-        g.offset.resize(static_cast<std::size_t>(num_offset));
-        for (auto& o : g.offset) o = r.ReadF32();
+        g.thresholds = LoadI32Array(r, "stage threshold");
+        g.scale = LoadF32Array(r, "stage scale");
+        g.offset = LoadF32Array(r, "stage offset");
         break;
       }
       case core::StageKind::kPool:
@@ -399,12 +410,7 @@ core::BnnProgram LoadBnnProgram(ByteReader& r) {
     stage.out_shape = LoadStageShape(r);
     program.AddStage(std::move(stage));
   }
-  try {
-    program.Validate();
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(std::string("artifact corrupt: ") + e.what());
-  }
-  return program;
+  return ValidatedOrCorrupt(std::move(program));
 }
 
 }  // namespace rrambnn::io

@@ -1,5 +1,5 @@
 // The hardware-mapped engine must be bit-exact against the software
-// BnnModel at zero device error, across tiling geometries.
+// BnnProgram at zero device error, across tiling geometries.
 #include "arch/bnn_mapper.h"
 
 #include <gtest/gtest.h>
@@ -19,34 +19,34 @@ rram::DeviceParams IdealDevice() {
   return p;
 }
 
-core::BnnModel RandomModel(std::int64_t in, std::int64_t hidden,
-                           std::int64_t classes, Rng& rng) {
-  core::BnnModel model;
-  core::BnnDenseLayer h;
-  h.weights = core::BitMatrix(hidden, in);
+core::BnnProgram RandomProgram(std::int64_t in, std::int64_t hidden,
+                               std::int64_t classes, Rng& rng) {
+  core::BitMatrix h(hidden, in);
   for (std::int64_t r = 0; r < hidden; ++r) {
     for (std::int64_t c = 0; c < in; ++c) {
-      h.weights.Set(r, c, rng.Bernoulli(0.5) ? +1 : -1);
+      h.Set(r, c, rng.Bernoulli(0.5) ? +1 : -1);
     }
   }
-  h.thresholds.resize(static_cast<std::size_t>(hidden));
-  for (auto& t : h.thresholds) {
+  std::vector<std::int32_t> thresholds(static_cast<std::size_t>(hidden));
+  for (auto& t : thresholds) {
     t = static_cast<std::int32_t>(in / 2 + rng.UniformInt(9) - 4);
   }
-  model.AddHidden(std::move(h));
-  core::BnnOutputLayer out;
-  out.weights = core::BitMatrix(classes, hidden);
+  core::BitMatrix out(classes, hidden);
   for (std::int64_t r = 0; r < classes; ++r) {
     for (std::int64_t c = 0; c < hidden; ++c) {
-      out.weights.Set(r, c, rng.Bernoulli(0.5) ? +1 : -1);
+      out.Set(r, c, rng.Bernoulli(0.5) ? +1 : -1);
     }
   }
-  out.scale.assign(static_cast<std::size_t>(classes), 1.0f);
-  out.offset.assign(static_cast<std::size_t>(classes), 0.0f);
-  for (auto& o : out.offset) o = rng.Normal(0.0f, 0.3f);
-  model.SetOutput(std::move(out));
-  model.Validate();
-  return model;
+  std::vector<float> offset(static_cast<std::size_t>(classes));
+  for (auto& o : offset) o = rng.Normal(0.0f, 0.3f);
+  core::BnnProgram program;
+  program.SetInputShape({in, 1, 1});
+  program.AddStage(core::DenseHiddenStage(std::move(h), std::move(thresholds)));
+  program.AddStage(core::DenseOutputStage(
+      std::move(out), std::vector<float>(static_cast<std::size_t>(classes), 1.0f),
+      std::move(offset)));
+  program.Validate();
+  return program;
 }
 
 TEST(XnorMacro, PaddingContributesNothing) {
@@ -70,25 +70,25 @@ class MapperTiling : public ::testing::TestWithParam<TileGeometry> {};
 
 TEST_P(MapperTiling, BitExactAtZeroError) {
   Rng rng(42);
-  const core::BnnModel model = RandomModel(150, 70, 4, rng);
+  const core::BnnProgram program = RandomProgram(150, 70, 4, rng);
   MapperConfig cfg;
   cfg.macro_rows = GetParam().rows;
   cfg.macro_cols = GetParam().cols;
   cfg.device = IdealDevice();
-  MappedBnn mapped(model, cfg);
+  MappedBnn mapped(program, cfg);
   for (int trial = 0; trial < 30; ++trial) {
     core::BitVector x(150);
     for (std::int64_t i = 0; i < 150; ++i) {
       x.Set(i, rng.Bernoulli(0.5) ? +1 : -1);
     }
-    const auto sw = model.Scores(x);
+    const auto sw = program.Scores(x);
     const auto hw = mapped.Scores(x);
     ASSERT_EQ(sw.size(), hw.size());
     for (std::size_t k = 0; k < sw.size(); ++k) {
       EXPECT_FLOAT_EQ(sw[k], hw[k]) << "tile " << GetParam().rows << "x"
                                     << GetParam().cols << " trial " << trial;
     }
-    EXPECT_EQ(model.Predict(x), mapped.Predict(x));
+    EXPECT_EQ(program.Predict(x), mapped.Predict(x));
   }
 }
 
@@ -100,12 +100,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(MappedBnn, MacroCountMatchesTiling) {
   Rng rng(7);
-  const core::BnnModel model = RandomModel(100, 50, 2, rng);
+  const core::BnnProgram program = RandomProgram(100, 50, 2, rng);
   MapperConfig cfg;
   cfg.macro_rows = 32;
   cfg.macro_cols = 32;
   cfg.device = IdealDevice();
-  const MappedBnn mapped(model, cfg);
+  const MappedBnn mapped(program, cfg);
   // Hidden: ceil(50/32)*ceil(100/32) = 2*4 = 8; output: 1*2 = 2.
   EXPECT_EQ(mapped.num_macros(), 10);
   EXPECT_GT(mapped.Utilization(), 0.3);
@@ -114,12 +114,12 @@ TEST(MappedBnn, MacroCountMatchesTiling) {
 
 TEST(MappedBnn, CostsArePositiveAndConsistent) {
   Rng rng(8);
-  const core::BnnModel model = RandomModel(64, 32, 2, rng);
+  const core::BnnProgram program = RandomProgram(64, 32, 2, rng);
   MapperConfig cfg;
   cfg.macro_rows = 32;
   cfg.macro_cols = 64;
   cfg.device = IdealDevice();
-  const MappedBnn mapped(model, cfg);
+  const MappedBnn mapped(program, cfg);
   const CostReport prog = mapped.ProgrammingCost();
   const CostReport inf = mapped.InferenceCost();
   EXPECT_GT(prog.program_energy_pj, 0.0);
@@ -134,14 +134,14 @@ TEST(MappedBnn, CostsArePositiveAndConsistent) {
 
 TEST(MappedBnn, AgedUnrefreshedFabricDegradesGracefully) {
   Rng rng(9);
-  const core::BnnModel model = RandomModel(128, 64, 2, rng);
+  const core::BnnProgram program = RandomProgram(128, 64, 2, rng);
   MapperConfig cfg;
   cfg.macro_rows = 64;
   cfg.macro_cols = 64;
   cfg.device = rram::DeviceParams{};  // real device statistics
   cfg.device.weak_prob_ref = 0.02;    // exaggerated aging
   cfg.pre_stress_cycles = static_cast<std::uint64_t>(7e8);
-  MappedBnn mapped(model, cfg);
+  MappedBnn mapped(program, cfg);
   // With elevated weak probability, some scores will deviate from the
   // software model, but outputs stay within the legal range.
   core::BitVector x(128);
@@ -221,7 +221,7 @@ core::BnnProgram RandomConvProgram(Rng& rng) {
 TEST(MappedBnn, BatchedSnapshotExactUnderProgrammingErrors) {
   Rng rng(31);
   const core::BnnProgram programs[] = {
-      core::BnnProgram::FromClassifier(RandomModel(150, 40, 4, rng)),
+      RandomProgram(150, 40, 4, rng),
       RandomConvProgram(rng)};
   for (const core::BnnProgram& program : programs) {
     const std::string kind = program.IsPureDense() ? "dense" : "conv";
@@ -277,12 +277,12 @@ TEST(MappedBnn, BatchedSnapshotExactUnderProgrammingErrors) {
 
 TEST(MappedBnn, SnapshotInvalidatedByStress) {
   Rng rng(37);
-  const core::BnnModel model = RandomModel(70, 20, 3, rng);
+  const core::BnnProgram program = RandomProgram(70, 20, 3, rng);
   MapperConfig config;
   config.device = IdealDevice();
   config.device.weak_prob_ref = 4.0e-5;  // refresh on worn devices can fail
   config.seed = 2;
-  MappedBnn fabric(model, config);
+  MappedBnn fabric(program, config);
   core::BitMatrix batch(4, 70);
   for (std::int64_t r = 0; r < 4; ++r) {
     for (std::int64_t c = 0; c < 70; ++c) {
@@ -308,9 +308,9 @@ TEST(MappedBnn, SnapshotInvalidatedByStress) {
 
 TEST(MappedBnn, SnapshotRequiresDeterministicSenses) {
   Rng rng(41);
-  const core::BnnModel model = RandomModel(40, 12, 2, rng);
+  const core::BnnProgram program = RandomProgram(40, 12, 2, rng);
   MapperConfig config;  // default device: sense_offset_sigma > 0
-  MappedBnn fabric(model, config);
+  MappedBnn fabric(program, config);
   EXPECT_FALSE(fabric.DeterministicReads());
   EXPECT_THROW(fabric.ReadbackSnapshot(), std::logic_error);
   // The stochastic fallback still serves batches (per-row simulation).
@@ -320,10 +320,10 @@ TEST(MappedBnn, SnapshotRequiresDeterministicSenses) {
 
 TEST(MappedBnn, InputWidthValidated) {
   Rng rng(10);
-  const core::BnnModel model = RandomModel(64, 32, 2, rng);
+  const core::BnnProgram program = RandomProgram(64, 32, 2, rng);
   MapperConfig cfg;
   cfg.device = IdealDevice();
-  MappedBnn mapped(model, cfg);
+  MappedBnn mapped(program, cfg);
   EXPECT_THROW(mapped.Scores(core::BitVector(63)), std::invalid_argument);
   EXPECT_THROW(mapped.PredictBatch(Tensor({2, 63})), std::invalid_argument);
 }

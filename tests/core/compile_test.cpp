@@ -10,7 +10,6 @@
 #include "nn/dense.h"
 #include "nn/dropout.h"
 #include "nn/optimizer.h"
-#include "nn/pool.h"
 #include "nn/trainer.h"
 
 namespace rrambnn::core {
@@ -56,7 +55,7 @@ TEST(Compile, BitExactAgainstFloatEval) {
   const std::int64_t in = 37, hidden = 19, classes = 3;
   nn::Sequential net = MakeBinaryClassifier(in, hidden, classes, rng);
   Warm(net, in, rng);
-  const BnnModel compiled = CompileClassifier(net, 0);
+  const BnnProgram compiled = CompileProgram(net, 0);
   compiled.Validate();
 
   Tensor x({64, in});
@@ -80,7 +79,8 @@ TEST(Compile, HiddenActivationsMatchExactly) {
   const std::int64_t in = 24, hidden = 16;
   nn::Sequential net = MakeBinaryClassifier(in, hidden, 2, rng);
   Warm(net, in, rng);
-  const BnnModel compiled = CompileClassifier(net, 0);
+  const BnnProgram compiled = CompileProgram(net, 0);
+  ASSERT_EQ(compiled.stages()[0].gemm.units(), hidden);
 
   for (int trial = 0; trial < 50; ++trial) {
     Tensor x({1, in});
@@ -89,11 +89,11 @@ TEST(Compile, HiddenActivationsMatchExactly) {
     Tensor h = x;
     for (int l = 0; l < 4; ++l) h = net[static_cast<std::size_t>(l)].Forward(h, false);
     // Compiled path.
-    const BitVector xb = BitVector::FromSigns(
-        std::span<const float>(x.data(), static_cast<std::size_t>(in)));
-    const BitVector hb = compiled.hidden()[0].Forward(xb);
+    const BitMatrix xb = BitMatrix::FromSignRows(
+        std::span<const float>(x.data(), static_cast<std::size_t>(in)), 1, in);
+    const BitMatrix hb = RunStageBatch(compiled.stages()[0], xb);
     for (std::int64_t j = 0; j < hidden; ++j) {
-      EXPECT_EQ(hb.Get(j), h[j] >= 0 ? 1 : -1)
+      EXPECT_EQ(hb.Get(0, j), h[j] >= 0 ? 1 : -1)
           << "trial " << trial << " unit " << j;
     }
   }
@@ -109,7 +109,7 @@ TEST(Compile, WithoutBatchNormUsesBiasThreshold) {
   net.Emplace<nn::Dense>(std::int64_t{4}, std::int64_t{2}, rng,
                          nn::DenseOptions{.binary = true});
   d1.bias().value = Tensor::FromList({0.5f, -0.5f, 3.0f, 0.0f});
-  const BnnModel compiled = CompileClassifier(net, 0);
+  const BnnProgram compiled = CompileProgram(net, 0);
   Tensor x({20, 8});
   rng.FillNormal(x, 0.0f, 1.0f);
   const auto preds = compiled.PredictBatch(x);
@@ -136,8 +136,11 @@ TEST(Compile, DropoutAndFlattenAreTransparent) {
   net.Emplace<nn::Dropout>(0.9f, rng);
   net.Emplace<nn::Dense>(std::int64_t{6}, std::int64_t{2}, rng,
                          nn::DenseOptions{.binary = true});
-  const BnnModel compiled = CompileClassifier(net, 0);
-  EXPECT_EQ(compiled.num_hidden(), 1u);
+  const BnnProgram compiled = CompileProgram(net, 0);
+  // Leading Flatten / Sign / Dropout fold into the input packing and the
+  // inner Dropout vanishes: one hidden and one output stage remain.
+  EXPECT_EQ(compiled.num_stages(), 2u);
+  EXPECT_TRUE(compiled.IsPureDense());
   EXPECT_EQ(compiled.input_size(), 12);
 }
 
@@ -145,7 +148,7 @@ TEST(Compile, RejectsNonBinaryDense) {
   Rng rng(5);
   nn::Sequential net;
   net.Emplace<nn::Dense>(std::int64_t{4}, std::int64_t{2}, rng);
-  EXPECT_THROW(CompileClassifier(net, 0), std::invalid_argument);
+  EXPECT_THROW(CompileProgram(net, 0), std::invalid_argument);
 }
 
 TEST(Compile, RejectsUnsupportedLayer) {
@@ -154,18 +157,21 @@ TEST(Compile, RejectsUnsupportedLayer) {
   net.Emplace<nn::Relu>();
   net.Emplace<nn::Dense>(std::int64_t{4}, std::int64_t{2}, rng,
                          nn::DenseOptions{.binary = true});
-  EXPECT_THROW(CompileClassifier(net, 0), std::invalid_argument);
+  EXPECT_THROW(CompileProgram(net, 0), std::invalid_argument);
+  EXPECT_THROW(CompileProgram(net, 0, {4, 1, 1}), std::invalid_argument);
 }
 
 /// Compiles and returns the rejection message, failing if nothing throws.
+/// The input shape is given, so the walk reaches the offending layer even
+/// when it comes before any dense layer.
 std::string RejectionMessage(const nn::Sequential& net,
                              std::size_t start_layer = 0) {
   try {
-    (void)CompileClassifier(net, start_layer);
+    (void)CompileProgram(net, start_layer, {4, 1, 1});
   } catch (const std::invalid_argument& e) {
     return e.what();
   }
-  ADD_FAILURE() << "CompileClassifier accepted an unsupported model";
+  ADD_FAILURE() << "CompileProgram accepted an unsupported model";
   return "";
 }
 
@@ -190,20 +196,6 @@ TEST(Compile, UnsupportedLayerMessageNamesLayerAndPosition) {
   EXPECT_NE(message.find("position 1"), std::string::npos) << message;
 }
 
-TEST(Compile, RejectsPoolInsideClassifier) {
-  Rng rng(23);
-  nn::Sequential net;
-  net.Emplace<nn::Dense>(std::int64_t{8}, std::int64_t{4}, rng,
-                         nn::DenseOptions{.binary = true});
-  net.Emplace<nn::BatchNorm>(4);
-  net.Emplace<nn::SignSte>();
-  net.Emplace<nn::Pool2d>(nn::PoolKind::kMax, std::int64_t{2},
-                          std::int64_t{1});
-  net.Emplace<nn::Dense>(std::int64_t{4}, std::int64_t{2}, rng,
-                         nn::DenseOptions{.binary = true});
-  EXPECT_THROW(CompileClassifier(net, 0), std::invalid_argument);
-}
-
 TEST(Compile, RejectsBatchNormBeforeAnyDense) {
   Rng rng(24);
   nn::Sequential net;
@@ -217,7 +209,7 @@ TEST(Compile, RejectsBatchNormBeforeAnyDense) {
 TEST(Compile, RejectsTrailingLayersAfterOutput) {
   Rng rng(25);
   nn::Sequential net;
-  net.Emplace<nn::Dense>(std::int64_t{8}, std::int64_t{4}, rng,
+  net.Emplace<nn::Dense>(std::int64_t{4}, std::int64_t{4}, rng,
                          nn::DenseOptions{.binary = true});
   net.Emplace<nn::BatchNorm>(4);
   net.Emplace<nn::SignSte>();
@@ -233,7 +225,7 @@ TEST(Compile, RejectsTrailingLayersAfterOutput) {
 TEST(Compile, RejectsHiddenChainWithoutOutputLayer) {
   Rng rng(26);
   nn::Sequential net;
-  net.Emplace<nn::Dense>(std::int64_t{8}, std::int64_t{4}, rng,
+  net.Emplace<nn::Dense>(std::int64_t{4}, std::int64_t{4}, rng,
                          nn::DenseOptions{.binary = true});
   net.Emplace<nn::BatchNorm>(4);
   net.Emplace<nn::SignSte>();
@@ -255,8 +247,9 @@ TEST(Compile, RejectsModelWithoutOutput) {
   Rng rng(7);
   nn::Sequential net;
   net.Emplace<nn::SignSte>();
-  EXPECT_THROW(CompileClassifier(net, 0), std::invalid_argument);
-  EXPECT_THROW(CompileClassifier(net, 5), std::invalid_argument);
+  EXPECT_THROW(CompileProgram(net, 0), std::invalid_argument);
+  EXPECT_THROW(CompileProgram(net, 0, {4, 1, 1}), std::invalid_argument);
+  EXPECT_THROW(CompileProgram(net, 5), std::invalid_argument);
 }
 
 TEST(ForwardPrefix, RunsExactlyTheRequestedLayers) {

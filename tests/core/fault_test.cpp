@@ -7,33 +7,34 @@
 namespace rrambnn::core {
 namespace {
 
-BnnModel MakeModel(std::int64_t in, std::int64_t hidden, std::int64_t classes) {
-  BnnModel model;
-  BnnDenseLayer h;
-  h.weights = BitMatrix(hidden, in);
-  h.thresholds.assign(static_cast<std::size_t>(hidden), 0);
-  model.AddHidden(std::move(h));
-  BnnOutputLayer out;
-  out.weights = BitMatrix(classes, hidden);
-  out.scale.assign(static_cast<std::size_t>(classes), 1.0f);
-  out.offset.assign(static_cast<std::size_t>(classes), 0.0f);
-  model.SetOutput(std::move(out));
-  return model;
+BnnProgram MakeProgram(std::int64_t in, std::int64_t hidden,
+                       std::int64_t classes) {
+  BnnProgram program;
+  program.SetInputShape({in, 1, 1});
+  program.AddStage(DenseHiddenStage(
+      BitMatrix(hidden, in),
+      std::vector<std::int32_t>(static_cast<std::size_t>(hidden), 0)));
+  program.AddStage(DenseOutputStage(
+      BitMatrix(classes, hidden),
+      std::vector<float>(static_cast<std::size_t>(classes), 1.0f),
+      std::vector<float>(static_cast<std::size_t>(classes), 0.0f)));
+  program.Validate();
+  return program;
 }
 
 TEST(FaultInjection, ZeroBerFlipsNothing) {
-  BnnModel model = MakeModel(64, 32, 2);
+  BnnProgram program = MakeProgram(64, 32, 2);
   Rng rng(1);
-  const FaultInjectionReport r = InjectWeightFaults(model, 0.0, rng);
+  const FaultInjectionReport r = InjectWeightFaults(program, 0.0, rng);
   EXPECT_EQ(r.flipped_bits, 0);
   EXPECT_EQ(r.total_bits, 64 * 32 + 32 * 2);
 }
 
 TEST(FaultInjection, FlipCountTracksBer) {
-  BnnModel model = MakeModel(256, 128, 4);
+  BnnProgram program = MakeProgram(256, 128, 4);
   Rng rng(2);
   const double ber = 0.05;
-  const FaultInjectionReport r = InjectWeightFaults(model, ber, rng);
+  const FaultInjectionReport r = InjectWeightFaults(program, ber, rng);
   const double expected = ber * static_cast<double>(r.total_bits);
   EXPECT_NEAR(static_cast<double>(r.flipped_bits), expected,
               4.0 * std::sqrt(expected));
@@ -73,20 +74,19 @@ TEST(FaultInjection, Validation) {
 TEST(FaultInjection, SmallBerRarelyChangesPredictions) {
   // The BNN robustness property underpinning the paper's ECC-less design:
   // at 1e-4-class BER (2T2R territory), predictions are essentially stable.
-  BnnModel clean = MakeModel(128, 64, 2);
+  BnnProgram clean = MakeProgram(128, 64, 2);
   Rng wrng(6);
-  // Random weights for a nontrivial decision boundary.
-  for (auto& layer : clean.hidden()) {
-    for (std::int64_t r = 0; r < layer.weights.rows(); ++r) {
-      for (std::int64_t c = 0; c < layer.weights.cols(); ++c) {
-        layer.weights.Set(r, c, wrng.Bernoulli(0.5) ? +1 : -1);
-      }
+  // Random hidden weights for a nontrivial decision boundary.
+  BitMatrix& hidden = clean.stages()[0].gemm.weights;
+  for (std::int64_t r = 0; r < hidden.rows(); ++r) {
+    for (std::int64_t c = 0; c < hidden.cols(); ++c) {
+      hidden.Set(r, c, wrng.Bernoulli(0.5) ? +1 : -1);
     }
   }
   Tensor x({50, 128});
   wrng.FillNormal(x, 0.0f, 1.0f);
   const auto before = clean.PredictBatch(x);
-  BnnModel faulty = clean;
+  BnnProgram faulty = clean;
   Rng frng(7);
   (void)InjectWeightFaults(faulty, 1e-4, frng);
   const auto after = faulty.PredictBatch(x);

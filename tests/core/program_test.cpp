@@ -508,8 +508,9 @@ TEST(Program, NanAndNegativeZeroRowsFollowSignConvention) {
   }
 }
 
-/// A dense grammar compiles to the pure-dense one-GEMM-per-layer program:
-/// the BnnModel special case, score-identical to CompileClassifier.
+/// A dense grammar compiles to the pure-dense one-GEMM-per-layer program,
+/// argmax-identical to the float network, and the dense "compiled-bnn"
+/// serde layout round-trips it losslessly.
 TEST(Program, DenseGrammarIsPureDenseSpecialCase) {
   Rng rng(3);
   nn::Sequential net;
@@ -541,14 +542,54 @@ TEST(Program, DenseGrammarIsPureDenseSpecialCase) {
 
   const BnnProgram program = CompileProgram(net, 0);
   EXPECT_TRUE(program.IsPureDense());
-  const BnnModel dense = CompileClassifier(net, 0);
+  EXPECT_EQ(program.num_stages(), 2u);
 
   Tensor x({32, 20});
   rng.FillNormal(x, 0.0f, 1.0f);
-  EXPECT_EQ(program.PredictBatch(x), dense.PredictBatch(x));
-  // Round trip through the dense view is lossless.
-  const BnnProgram lifted = BnnProgram::FromClassifier(program.ToClassifier());
-  EXPECT_EQ(lifted.PredictBatch(x), program.PredictBatch(x));
+  EXPECT_EQ(program.PredictBatch(x), ArgmaxRows(net.Infer(x)));
+
+  io::ByteWriter w;
+  io::SaveDenseProgram(program, w);
+  const std::vector<std::uint8_t> bytes = w.TakeBytes();
+  io::ByteReader r(bytes, "dense program");
+  const BnnProgram loaded = io::LoadDenseProgram(r);
+  r.ExpectExhausted();
+  ASSERT_EQ(loaded.num_stages(), program.num_stages());
+  for (std::size_t i = 0; i < program.num_stages(); ++i) {
+    const PackedGemmStage& a = program.stages()[i].gemm;
+    const PackedGemmStage& b = loaded.stages()[i].gemm;
+    EXPECT_TRUE(std::ranges::equal(a.weights.words(), b.weights.words()))
+        << "stage " << i;
+    EXPECT_EQ(a.thresholds, b.thresholds) << "stage " << i;
+    EXPECT_EQ(a.scale, b.scale) << "stage " << i;
+    EXPECT_EQ(a.offset, b.offset) << "stage " << i;
+    EXPECT_EQ(a.is_output, b.is_output) << "stage " << i;
+  }
+  EXPECT_EQ(loaded.input_shape(), program.input_shape());
+  EXPECT_EQ(loaded.PredictBatch(x), program.PredictBatch(x));
+}
+
+/// Threshold range applies to every hidden GEMM stage, with the stage's row
+/// width: a conv threshold of 42 on an 8-bit patch row can never come out of
+/// BN folding, so Validate rejects it like a dense one.
+TEST(Program, ValidateRejectsConvThresholdOutOfRange) {
+  const auto make = [](std::int32_t threshold) {
+    ProgramStage conv;
+    conv.gemm.lowering = GemmLowering::kConv;
+    conv.gemm.geom = {2, 3, 3, 2, 2, 1, 1, 0, 0};
+    conv.gemm.weights = BitMatrix(2, conv.gemm.geom.PatchSize());  // 2 x 8
+    conv.gemm.thresholds = {threshold, 3};
+    conv.out_shape = {2, 2, 2};
+    BnnProgram program;
+    program.SetInputShape({2, 3, 3});
+    program.AddStage(std::move(conv));
+    program.AddStage(DenseOutputStage(BitMatrix(2, 8), {1.0f, 1.0f},
+                                      {0.0f, 0.0f}));
+    return program;
+  };
+  EXPECT_NO_THROW(make(9).Validate());  // in + 1: never fires, still legal
+  EXPECT_THROW(make(42).Validate(), std::invalid_argument);
+  EXPECT_THROW(make(-1).Validate(), std::invalid_argument);
 }
 
 /// Serialization round trip of a multi-stage program (the

@@ -36,7 +36,7 @@ TEST(StochasticEncoder, Validation) {
   Rng rng(3);
   const std::vector<float> f{0.0f};
   EXPECT_THROW(StochasticEncoder::Encode(f, 0, rng), std::invalid_argument);
-  BnnModel empty;
+  BnnProgram empty;
   EXPECT_THROW(StochasticEncoder::AverageScores(empty, {}),
                std::invalid_argument);
 }
@@ -45,19 +45,19 @@ TEST(StochasticEncoder, ManyStreamsApproachDeterministicDecision) {
   // A linear output layer over stochastic bits: with enough streams the
   // expected score ~ the analog dot product, so the prediction matches the
   // sign-based one for clearly separated inputs.
-  BnnModel model;
-  BnnOutputLayer out;
-  out.weights = BitMatrix(2, 8);
-  for (std::int64_t c = 0; c < 8; ++c) out.weights.Set(0, c, +1);  // class 0: all +1
-  out.scale = {1.0f, 1.0f};
-  out.offset = {0.0f, 0.0f};
-  model.SetOutput(std::move(out));
+  BitMatrix weights(2, 8);
+  for (std::int64_t c = 0; c < 8; ++c) weights.Set(0, c, +1);  // class 0: all +1
+  BnnProgram program;
+  program.SetInputShape({8, 1, 1});
+  program.AddStage(
+      DenseOutputStage(std::move(weights), {1.0f, 1.0f}, {0.0f, 0.0f}));
+  program.Validate();
 
   Rng rng(4);
   const std::vector<float> strongly_positive(8, 0.8f);
   int class0 = 0;
   for (int t = 0; t < 20; ++t) {
-    if (StochasticEncoder::Predict(model, strongly_positive, 64, rng) == 0) {
+    if (StochasticEncoder::Predict(program, strongly_positive, 64, rng) == 0) {
       ++class0;
     }
   }

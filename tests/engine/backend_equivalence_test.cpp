@@ -78,9 +78,9 @@ TEST_F(TrainedEcgEngine, AllBackendsBitExactAtZeroErrorRate) {
   BackendSpec spec = engine_->config().backend;
   spec.fault_ber = 0.0;  // zero-BER fault injection flips nothing
 
-  auto reference = MakeBackend("reference", engine_->compiled_model(), spec);
-  auto rram = MakeBackend("rram", engine_->compiled_model(), spec);
-  auto fault = MakeBackend("fault", engine_->compiled_model(), spec);
+  auto reference = MakeBackend("reference", engine_->compiled_program(), spec);
+  auto rram = MakeBackend("rram", engine_->compiled_program(), spec);
+  auto fault = MakeBackend("fault", engine_->compiled_program(), spec);
 
   const Tensor features = Features();
   const std::int64_t f = features.dim(1);
@@ -115,11 +115,11 @@ TEST_F(TrainedEcgEngine, DeployedAccuracyIdenticalAcrossBackends) {
 TEST_F(TrainedEcgEngine, ZeroBerFaultBackendFlipsNoBits) {
   BackendSpec spec;
   spec.fault_ber = 0.0;
-  FaultInjectionBackend backend(engine_->compiled_model(), spec.fault_ber,
+  FaultInjectionBackend backend(engine_->compiled_program(), spec.fault_ber,
                                 spec.fault_seed);
   EXPECT_EQ(backend.fault_report().flipped_bits, 0);
   EXPECT_EQ(backend.fault_report().total_bits,
-            engine_->compiled_model().TotalWeightBits());
+            engine_->compiled_program().TotalWeightBits());
 }
 
 }  // namespace

@@ -202,17 +202,17 @@ TEST_F(BatchServing, BatchMatchesRowForEveryRegisteredBackend) {
 TEST_F(BatchServing, ShardedRramInvariantToShardCountAtZeroNoise) {
   BackendSpec spec = engine_->config().backend;
   const core::BitMatrix packed = Packed();
-  auto reference = MakeBackend("reference", engine_->compiled_model(), spec);
+  auto reference = MakeBackend("reference", engine_->compiled_program(), spec);
   const std::vector<std::int64_t> expected = reference->PredictPacked(packed);
   for (const int shards : {1, 2, 8}) {
     spec.rram_shards = shards;
     auto sharded =
-        MakeBackend("rram-sharded", engine_->compiled_model(), spec);
+        MakeBackend("rram-sharded", engine_->compiled_program(), spec);
     EXPECT_EQ(sharded->PredictPacked(packed), expected)
         << shards << " shard(s)";
     // Deterministic under a fixed seed: a second identical deployment
     // produces the same scores.
-    auto again = MakeBackend("rram-sharded", engine_->compiled_model(), spec);
+    auto again = MakeBackend("rram-sharded", engine_->compiled_program(), spec);
     EXPECT_EQ(again->ScoresBatch(packed), sharded->ScoresBatch(packed))
         << shards << " shard(s)";
   }
@@ -221,9 +221,9 @@ TEST_F(BatchServing, ShardedRramInvariantToShardCountAtZeroNoise) {
 TEST_F(BatchServing, ShardedEnergyReportAggregatesAcrossChips) {
   BackendSpec spec = engine_->config().backend;
   spec.rram_shards = 1;
-  auto one = MakeBackend("rram-sharded", engine_->compiled_model(), spec);
+  auto one = MakeBackend("rram-sharded", engine_->compiled_program(), spec);
   spec.rram_shards = 4;
-  auto four = MakeBackend("rram-sharded", engine_->compiled_model(), spec);
+  auto four = MakeBackend("rram-sharded", engine_->compiled_program(), spec);
   const EnergyBreakdown e1 = one->EnergyReport();
   const EnergyBreakdown e4 = four->EnergyReport();
   EXPECT_TRUE(e4.available);
@@ -258,7 +258,7 @@ TEST_F(BatchServing, ScalarKernelServesIdenticalScores) {
   // changes nothing observable.
   BackendSpec spec = engine_->config().backend;
   const core::BitMatrix packed = Packed();
-  auto backend = MakeBackend("reference", engine_->compiled_model(), spec);
+  auto backend = MakeBackend("reference", engine_->compiled_program(), spec);
   const std::vector<float> fast = backend->ScoresBatch(packed);
   const bool prev = core::SetXnorGemmForceScalar(true);
   const std::vector<float> scalar = backend->ScoresBatch(packed);

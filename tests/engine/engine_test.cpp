@@ -129,7 +129,7 @@ TEST(Engine, LifecycleOrderingEnforced) {
   EXPECT_FALSE(eng.trained());
   EXPECT_THROW(eng.Compile(), std::logic_error);
   EXPECT_THROW((void)eng.net(), std::logic_error);
-  EXPECT_THROW((void)eng.compiled_model(), std::logic_error);
+  EXPECT_THROW((void)eng.compiled_program(), std::logic_error);
   EXPECT_THROW((void)eng.backend(), std::logic_error);
   EXPECT_THROW((void)eng.Predict(Tensor({1, kIn})), std::logic_error);
 }

@@ -17,31 +17,29 @@
 namespace rrambnn::health {
 namespace {
 
-core::BnnModel MakeModel(std::int64_t in, std::int64_t hidden,
-                         std::int64_t classes, std::uint64_t seed) {
-  core::BnnModel model;
-  core::BnnDenseLayer h;
-  h.weights = core::BitMatrix(hidden, in);
-  h.thresholds.assign(static_cast<std::size_t>(hidden), 0);
-  core::BnnOutputLayer out;
-  out.weights = core::BitMatrix(classes, hidden);
-  out.scale.assign(static_cast<std::size_t>(classes), 1.0f);
-  out.offset.assign(static_cast<std::size_t>(classes), 0.0f);
+core::BnnProgram MakeProgram(std::int64_t in, std::int64_t hidden,
+                             std::int64_t classes, std::uint64_t seed) {
+  core::BitMatrix h(hidden, in);
+  core::BitMatrix out(classes, hidden);
   // Random weight planes so diffs and drift hit a nontrivial pattern.
   Rng rng(seed);
-  for (std::int64_t r = 0; r < h.weights.rows(); ++r) {
-    for (std::int64_t c = 0; c < h.weights.cols(); ++c) {
-      h.weights.Set(r, c, rng.Uniform() < 0.5 ? -1 : +1);
+  for (core::BitMatrix* plane : {&h, &out}) {
+    for (std::int64_t r = 0; r < plane->rows(); ++r) {
+      for (std::int64_t c = 0; c < plane->cols(); ++c) {
+        plane->Set(r, c, rng.Uniform() < 0.5 ? -1 : +1);
+      }
     }
   }
-  for (std::int64_t r = 0; r < out.weights.rows(); ++r) {
-    for (std::int64_t c = 0; c < out.weights.cols(); ++c) {
-      out.weights.Set(r, c, rng.Uniform() < 0.5 ? -1 : +1);
-    }
-  }
-  model.AddHidden(std::move(h));
-  model.SetOutput(std::move(out));
-  return model;
+  core::BnnProgram program;
+  program.SetInputShape({in, 1, 1});
+  program.AddStage(core::DenseHiddenStage(
+      std::move(h),
+      std::vector<std::int32_t>(static_cast<std::size_t>(hidden), 0)));
+  program.AddStage(core::DenseOutputStage(
+      std::move(out),
+      std::vector<float>(static_cast<std::size_t>(classes), 1.0f),
+      std::vector<float>(static_cast<std::size_t>(classes), 0.0f)));
+  return program;
 }
 
 /// In-memory chip fleet: each chip is a compiled-program copy of the golden
@@ -49,8 +47,8 @@ core::BnnModel MakeModel(std::int64_t in, std::int64_t hidden,
 /// golden copy. Lets every manager decision be tested without hardware.
 class FakeAdapter : public BackendHealthAdapter {
  public:
-  FakeAdapter(const core::BnnModel& golden, int chips)
-      : golden_(core::BnnProgram::FromClassifier(golden)),
+  FakeAdapter(const core::BnnProgram& golden, int chips)
+      : golden_(golden),
         chips_(static_cast<std::size_t>(chips), golden_),
         serving_(static_cast<std::size_t>(chips), true),
         generations_(static_cast<std::size_t>(chips), 0) {}
@@ -95,8 +93,8 @@ class FakeAdapter : public BackendHealthAdapter {
   bool readback_ = true;
 };
 
-TEST(DiffBitErrors, IdenticalModelsAreClean) {
-  const core::BnnModel golden = MakeModel(64, 32, 2, 1);
+TEST(DiffBitErrors, IdenticalProgramsAreClean) {
+  const core::BnnProgram golden = MakeProgram(64, 32, 2, 1);
   const BerEstimate estimate = DiffBitErrors(golden, golden);
   EXPECT_EQ(estimate.error_bits, 0);
   EXPECT_EQ(estimate.checked_bits, 64 * 32 + 32 * 2);
@@ -104,11 +102,11 @@ TEST(DiffBitErrors, IdenticalModelsAreClean) {
 }
 
 TEST(DiffBitErrors, CountsExactFlips) {
-  const core::BnnModel golden = MakeModel(64, 32, 2, 2);
-  core::BnnModel readback = golden;
-  readback.hidden()[0].weights.Flip(0, 0);
-  readback.hidden()[0].weights.Flip(31, 63);
-  readback.output().weights.Flip(1, 7);
+  const core::BnnProgram golden = MakeProgram(64, 32, 2, 2);
+  core::BnnProgram readback = golden;
+  readback.stages()[0].gemm.weights.Flip(0, 0);
+  readback.stages()[0].gemm.weights.Flip(31, 63);
+  readback.stages()[1].gemm.weights.Flip(1, 7);
   const BerEstimate estimate = DiffBitErrors(golden, readback);
   EXPECT_EQ(estimate.error_bits, 3);
   EXPECT_EQ(estimate.checked_bits, 64 * 32 + 32 * 2);
@@ -116,8 +114,8 @@ TEST(DiffBitErrors, CountsExactFlips) {
 }
 
 TEST(DiffBitErrors, GeometryMismatchThrows) {
-  const core::BnnModel golden = MakeModel(64, 32, 2, 3);
-  const core::BnnModel other = MakeModel(64, 16, 2, 3);
+  const core::BnnProgram golden = MakeProgram(64, 32, 2, 3);
+  const core::BnnProgram other = MakeProgram(64, 16, 2, 3);
   EXPECT_THROW((void)DiffBitErrors(golden, other), std::invalid_argument);
 }
 
@@ -132,7 +130,7 @@ TEST(Classify, ThresholdsAreInclusive) {
 }
 
 TEST(HealthManager, PolicyValidation) {
-  const core::BnnModel golden = MakeModel(32, 16, 2, 4);
+  const core::BnnProgram golden = MakeProgram(32, 16, 2, 4);
   FakeAdapter adapter(golden, 1);
   HealthPolicy bad_alpha;
   bad_alpha.ewma_alpha = 0.0;
@@ -149,7 +147,7 @@ TEST(HealthManager, PolicyValidation) {
 }
 
 TEST(HealthManager, CheckNowRequiresReadback) {
-  const core::BnnModel golden = MakeModel(32, 16, 2, 5);
+  const core::BnnProgram golden = MakeProgram(32, 16, 2, 5);
   FakeAdapter adapter(golden, 1);
   adapter.set_readback(false);
   HealthManager manager(adapter.golden(), adapter, HealthPolicy{});
@@ -157,7 +155,7 @@ TEST(HealthManager, CheckNowRequiresReadback) {
 }
 
 TEST(HealthManager, EwmaSeedsOnFirstCheckThenSmooths) {
-  const core::BnnModel golden = MakeModel(128, 64, 2, 6);
+  const core::BnnProgram golden = MakeProgram(128, 64, 2, 6);
   FakeAdapter adapter(golden, 1);
   HealthPolicy policy;
   policy.auto_heal = false;
@@ -181,7 +179,7 @@ TEST(HealthManager, EwmaSeedsOnFirstCheckThenSmooths) {
 }
 
 TEST(HealthManager, StateTransitionsAreRecorded) {
-  const core::BnnModel golden = MakeModel(128, 64, 2, 7);
+  const core::BnnProgram golden = MakeProgram(128, 64, 2, 7);
   FakeAdapter adapter(golden, 1);
   HealthPolicy policy;
   policy.auto_heal = false;
@@ -200,7 +198,7 @@ TEST(HealthManager, StateTransitionsAreRecorded) {
 }
 
 TEST(HealthManager, AutoHealReprogramsVerifiesAndResetsHistory) {
-  const core::BnnModel golden = MakeModel(128, 64, 2, 8);
+  const core::BnnProgram golden = MakeProgram(128, 64, 2, 8);
   FakeAdapter adapter(golden, 1);
   HealthManager manager(adapter.golden(), adapter, HealthPolicy{});
 
@@ -228,7 +226,7 @@ TEST(HealthManager, AutoHealReprogramsVerifiesAndResetsHistory) {
 }
 
 TEST(HealthManager, ReseedingHealAdvancesGeneration) {
-  const core::BnnModel golden = MakeModel(128, 64, 2, 9);
+  const core::BnnProgram golden = MakeProgram(128, 64, 2, 9);
   FakeAdapter adapter(golden, 1);
   HealthPolicy policy;
   policy.reprogram_reseed = true;
@@ -238,7 +236,7 @@ TEST(HealthManager, ReseedingHealAdvancesGeneration) {
 }
 
 TEST(HealthManager, RoutesAroundSickAndRestoresAfterRecovery) {
-  const core::BnnModel golden = MakeModel(128, 64, 2, 10);
+  const core::BnnProgram golden = MakeProgram(128, 64, 2, 10);
   FakeAdapter adapter(golden, 2);
   HealthPolicy policy;
   policy.auto_heal = false;  // observe the route-around path in isolation
@@ -267,7 +265,7 @@ TEST(HealthManager, RoutesAroundSickAndRestoresAfterRecovery) {
 }
 
 TEST(HealthManager, NeverRoutesOffTheLastServingChip) {
-  const core::BnnModel golden = MakeModel(128, 64, 2, 11);
+  const core::BnnProgram golden = MakeProgram(128, 64, 2, 11);
   FakeAdapter adapter(golden, 2);
   HealthPolicy policy;
   policy.auto_heal = false;
@@ -305,7 +303,7 @@ TEST(ShardSeed, DerivationProperties) {
 }
 
 TEST(AgingScenario, ScheduleMatchesTheDocumentedFormula) {
-  const core::BnnModel golden = MakeModel(64, 32, 2, 12);
+  const core::BnnProgram golden = MakeProgram(64, 32, 2, 12);
   FakeAdapter adapter(golden, 3);
   AgingScenario scenario;
   scenario.base_ber_per_step = 0.01;
@@ -325,7 +323,7 @@ TEST(AgingScenario, ScheduleMatchesTheDocumentedFormula) {
 }
 
 TEST(AgingScenario, ScheduleClampsToValidBer) {
-  const core::BnnModel golden = MakeModel(64, 32, 2, 13);
+  const core::BnnProgram golden = MakeProgram(64, 32, 2, 13);
   FakeAdapter adapter(golden, 1);
   AgingScenario scenario;
   scenario.base_ber_per_step = 0.9;
@@ -339,7 +337,7 @@ TEST(AgingScenario, ScheduleClampsToValidBer) {
 }
 
 TEST(AgingScenario, StepInjectsDriftIntoEveryChip) {
-  const core::BnnModel golden = MakeModel(128, 64, 2, 14);
+  const core::BnnProgram golden = MakeProgram(128, 64, 2, 14);
   FakeAdapter adapter(golden, 2);
   AgingScenario scenario;
   scenario.base_ber_per_step = 0.05;

@@ -25,30 +25,28 @@ namespace {
 
 namespace fs = std::filesystem;
 
-core::BnnModel MakeRandomModel(std::int64_t in, std::int64_t hidden,
-                               std::int64_t classes, std::uint64_t seed) {
-  core::BnnModel model;
-  core::BnnDenseLayer h;
-  h.weights = core::BitMatrix(hidden, in);
-  h.thresholds.assign(static_cast<std::size_t>(hidden), 0);
-  core::BnnOutputLayer out;
-  out.weights = core::BitMatrix(classes, hidden);
-  out.scale.assign(static_cast<std::size_t>(classes), 1.0f);
-  out.offset.assign(static_cast<std::size_t>(classes), 0.0f);
+core::BnnProgram MakeRandomProgram(std::int64_t in, std::int64_t hidden,
+                                   std::int64_t classes, std::uint64_t seed) {
+  core::BitMatrix h(hidden, in);
+  core::BitMatrix out(classes, hidden);
   Rng rng(seed);
-  for (std::int64_t r = 0; r < h.weights.rows(); ++r) {
-    for (std::int64_t c = 0; c < h.weights.cols(); ++c) {
-      h.weights.Set(r, c, rng.Uniform() < 0.5 ? -1 : +1);
+  for (core::BitMatrix* plane : {&h, &out}) {
+    for (std::int64_t r = 0; r < plane->rows(); ++r) {
+      for (std::int64_t c = 0; c < plane->cols(); ++c) {
+        plane->Set(r, c, rng.Uniform() < 0.5 ? -1 : +1);
+      }
     }
   }
-  for (std::int64_t r = 0; r < out.weights.rows(); ++r) {
-    for (std::int64_t c = 0; c < out.weights.cols(); ++c) {
-      out.weights.Set(r, c, rng.Uniform() < 0.5 ? -1 : +1);
-    }
-  }
-  model.AddHidden(std::move(h));
-  model.SetOutput(std::move(out));
-  return model;
+  core::BnnProgram program;
+  program.SetInputShape({in, 1, 1});
+  program.AddStage(core::DenseHiddenStage(
+      std::move(h),
+      std::vector<std::int32_t>(static_cast<std::size_t>(hidden), 0)));
+  program.AddStage(core::DenseOutputStage(
+      std::move(out),
+      std::vector<float>(static_cast<std::size_t>(classes), 1.0f),
+      std::vector<float>(static_cast<std::size_t>(classes), 0.0f)));
+  return program;
 }
 
 /// An aged device corner with deterministic senses: programming errors
@@ -63,8 +61,8 @@ arch::MapperConfig AgedDeterministicCorner() {
 }
 
 TEST(ShardedHealing, ReprogramRestoresTheChipBitIdentically) {
-  const core::BnnModel model = MakeRandomModel(96, 64, 2, 20);
-  engine::ShardedRramBackend backend(model, AgedDeterministicCorner(), 4);
+  const core::BnnProgram program = MakeRandomProgram(96, 64, 2, 20);
+  engine::ShardedRramBackend backend(program, AgedDeterministicCorner(), 4);
   ASSERT_TRUE(backend.SupportsReadback());
 
   // Snapshot every chip's generation-0 readback (copies: the references
@@ -98,8 +96,8 @@ TEST(ShardedHealing, ReprogramRestoresTheChipBitIdentically) {
 }
 
 TEST(ShardedHealing, ReseededReprogramIsAPhysicallyNewFabric) {
-  const core::BnnModel model = MakeRandomModel(96, 64, 2, 21);
-  engine::ShardedRramBackend backend(model, AgedDeterministicCorner(), 2);
+  const core::BnnProgram program = MakeRandomProgram(96, 64, 2, 21);
+  engine::ShardedRramBackend backend(program, AgedDeterministicCorner(), 2);
   const core::BnnProgram gen0 = backend.ChipReadback(0);
 
   backend.ReprogramChip(0, /*reseed=*/true);
@@ -119,12 +117,12 @@ TEST(ShardedHealing, ReseededReprogramIsAPhysicallyNewFabric) {
 }
 
 TEST(ShardedHealing, RoutedOffChipServesNoRowsButFleetStillAnswers) {
-  const core::BnnModel model = MakeRandomModel(96, 64, 2, 22);
+  const core::BnnProgram program = MakeRandomProgram(96, 64, 2, 22);
   arch::MapperConfig config;
   config.device.sense_offset_sigma = 0.0;  // noiseless: all chips agree
-  engine::ShardedRramBackend backend(model, config, 3);
+  engine::ShardedRramBackend backend(program, config, 3);
 
-  core::BitMatrix batch(8, model.input_size());
+  core::BitMatrix batch(8, program.input_size());
   Rng rng(5);
   for (std::int64_t r = 0; r < batch.rows(); ++r) {
     for (std::int64_t c = 0; c < batch.cols(); ++c) {

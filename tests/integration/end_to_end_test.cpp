@@ -5,10 +5,10 @@
 
 #include "arch/bnn_mapper.h"
 #include "core/compile.h"
-#include "core/fault_injection.h"
 #include "data/ecg_synth.h"
 #include "data/eeg_synth.h"
 #include "data/preprocess.h"
+#include "engine/engine.h"
 #include "models/ecg_model.h"
 #include "models/eeg_model.h"
 #include "nn/trainer.h"
@@ -49,18 +49,30 @@ TrainedEcg TrainSmallEcgBinClassifier() {
   return out;
 }
 
+/// The hybrid pipeline (float prefix + compiled classifier) of a trained
+/// network, as an engine that takes the network over: compiled, not yet
+/// deployed.
+engine::Engine HybridEngine(TrainedEcg& t) {
+  engine::EngineConfig cfg;
+  cfg.WithStrategy(core::BinarizationStrategy::kBinaryClassifier);
+  engine::Engine eng = engine::Engine::FromTrained(
+      cfg, std::move(t.built.net), t.built.classifier_start,
+      {t.val.x.shape().begin() + 1, t.val.x.shape().end()});
+  eng.Compile();
+  return eng;
+}
+
 TEST(EndToEnd, EcgBinClassifierPipelineBitExactAndAccurate) {
   TrainedEcg t = TrainSmallEcgBinClassifier();
   const double nn_acc = nn::Evaluate(t.built.net, t.val);
   EXPECT_GT(nn_acc, 0.7) << "training failed to learn the task";
 
   // Compile and check the hybrid path reproduces the float-eval accuracy.
-  const core::BnnModel compiled =
-      core::CompileClassifier(t.built.net, t.built.classifier_start);
-  const double hybrid_acc = core::HybridAccuracy(
-      t.built.net, t.built.classifier_start, compiled, t.val);
-  EXPECT_NEAR(hybrid_acc, nn_acc, 1e-9)
+  engine::Engine eng = HybridEngine(t);
+  eng.Deploy("reference");
+  EXPECT_NEAR(eng.Evaluate(t.val), nn_acc, 1e-9)
       << "BN folding must be bit-exact against float eval";
+  const core::BnnProgram& compiled = eng.compiled_program();
 
   // Map onto ideal RRAM arrays: still identical.
   arch::MapperConfig mc;
@@ -69,9 +81,7 @@ TEST(EndToEnd, EcgBinClassifierPipelineBitExactAndAccurate) {
   mc.device.sense_offset_sigma = 0.0;
   mc.device.weak_prob_ref = 0.0;
   arch::MappedBnn mapped(compiled, mc);
-  Tensor features = core::ForwardPrefix(t.built.net, t.val.x,
-                                        t.built.classifier_start);
-  if (features.rank() > 2) features = features.Reshape({t.val.size(), -1});
+  const Tensor features = eng.Features(t.val.x);
   const auto sw = compiled.PredictBatch(features);
   const auto hw = mapped.PredictBatch(features);
   EXPECT_EQ(sw, hw) << "mapped fabric must be bit-exact at zero error";
@@ -79,30 +89,20 @@ TEST(EndToEnd, EcgBinClassifierPipelineBitExactAndAccurate) {
 
 TEST(EndToEnd, FaultInjectionDegradesGracefullyAtRealisticBer) {
   TrainedEcg t = TrainSmallEcgBinClassifier();
-  const core::BnnModel clean =
-      core::CompileClassifier(t.built.net, t.built.classifier_start);
-  const double base_acc = core::HybridAccuracy(
-      t.built.net, t.built.classifier_start, clean, t.val);
+  engine::Engine eng = HybridEngine(t);
+  eng.Deploy("reference");
+  const double base_acc = eng.Evaluate(t.val);
 
   // 2T2R-class BER (1e-4): accuracy within noise of the clean model.
-  {
-    core::BnnModel faulty = clean;
-    Rng rng(5);
-    (void)core::InjectWeightFaults(faulty, 1e-4, rng);
-    const double acc = core::HybridAccuracy(
-        t.built.net, t.built.classifier_start, faulty, t.val);
-    EXPECT_GE(acc, base_acc - 0.05);
-  }
+  eng.config().WithFaultBer(1e-4, /*seed=*/5);
+  eng.Deploy("fault");
+  EXPECT_GE(eng.Evaluate(t.val), base_acc - 0.05);
   // Catastrophic BER (0.5 = random weights): near chance.
-  {
-    core::BnnModel faulty = clean;
-    Rng rng(6);
-    (void)core::InjectWeightFaults(faulty, 0.5, rng);
-    const double acc = core::HybridAccuracy(
-        t.built.net, t.built.classifier_start, faulty, t.val);
-    EXPECT_LT(acc, base_acc);
-    EXPECT_GT(acc, 0.2);
-  }
+  eng.config().WithFaultBer(0.5, /*seed=*/6);
+  eng.Deploy("fault");
+  const double acc = eng.Evaluate(t.val);
+  EXPECT_LT(acc, base_acc);
+  EXPECT_GT(acc, 0.2);
 }
 
 TEST(EndToEnd, EegFullBinaryTrainsAboveChance) {
@@ -141,8 +141,8 @@ TEST(EndToEnd, EegFullBinaryTrainsAboveChance) {
 
 TEST(EndToEnd, AgedFabricWithRefreshKeepsWorking) {
   TrainedEcg t = TrainSmallEcgBinClassifier();
-  const core::BnnModel compiled =
-      core::CompileClassifier(t.built.net, t.built.classifier_start);
+  const core::BnnProgram compiled =
+      core::CompileProgram(t.built.net, t.built.classifier_start);
   arch::MapperConfig mc;
   mc.device = rram::DeviceParams{};
   mc.pre_stress_cycles = static_cast<std::uint64_t>(3e8);

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -111,8 +112,8 @@ TEST_F(SavedEcgArtifact, LoadedEngineIsTrainedAndCompiled) {
   EXPECT_FALSE(loaded.deployed());
   EXPECT_EQ(loaded.classifier_start(), engine_->classifier_start());
   EXPECT_EQ(loaded.net().size(), engine_->net().size());
-  EXPECT_EQ(loaded.compiled_model().TotalWeightBits(),
-            engine_->compiled_model().TotalWeightBits());
+  EXPECT_EQ(loaded.compiled_program().TotalWeightBits(),
+            engine_->compiled_program().TotalWeightBits());
   // A loaded engine has no ModelFactory: retraining needs an explicit one.
   EXPECT_THROW((void)loaded.Train(*data_, *data_), std::logic_error);
 }
@@ -350,6 +351,91 @@ TEST_F(SavedEcgArtifact, VersionBumpedArtifactRejected) {
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+  }
+}
+
+std::uint64_t Fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::vector<std::uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/// Dense GEMM stage filled from raw mt19937_64 words (fully specified by the
+/// standard, unlike the distributions), so the bytes are toolchain-stable.
+core::ProgramStage PinnedDenseStage(std::int64_t units, std::int64_t in,
+                                    bool is_output, std::mt19937_64& bits) {
+  core::BitMatrix weights(units, in);
+  for (std::int64_t r = 0; r < units; ++r) {
+    for (std::int64_t c = 0; c < in; ++c) {
+      weights.Set(r, c, (bits() & 1u) != 0 ? +1 : -1);
+    }
+  }
+  if (!is_output) {
+    std::vector<std::int32_t> thresholds;
+    for (std::int64_t r = 0; r < units; ++r) {
+      thresholds.push_back(static_cast<std::int32_t>(
+          bits() % static_cast<std::uint64_t>(in + 2)));
+    }
+    return core::DenseHiddenStage(std::move(weights), std::move(thresholds));
+  }
+  std::vector<float> scale, offset;
+  for (std::int64_t r = 0; r < units; ++r) {
+    scale.push_back(static_cast<float>(bits() % 512) / 64.0f);
+    offset.push_back(static_cast<float>(bits() % 512) / 64.0f - 4.0f);
+  }
+  return core::DenseOutputStage(std::move(weights), std::move(scale),
+                                std::move(offset));
+}
+
+/// Dense artifacts are byte-stable: a fixed, seeded pure-dense program
+/// saved as v1 and as v2 must reproduce these FNV-1a digests of the
+/// "compiled-bnn" payload and of the whole file. A change to either
+/// constant means dense artifacts already on disk no longer match what this
+/// build writes.
+TEST(ArtifactBytesTest, DenseProgramBytesArePinned) {
+  std::mt19937_64 bits(2024);
+  core::BnnProgram program;
+  program.SetInputShape({70, 1, 1});
+  program.AddStage(PinnedDenseStage(24, 70, false, bits));
+  program.AddStage(PinnedDenseStage(10, 24, false, bits));
+  program.AddStage(PinnedDenseStage(3, 10, true, bits));
+  program.Validate();
+  ASSERT_TRUE(program.IsPureDense());
+
+  nn::Sequential net;
+  net.Emplace<nn::BatchNorm>(std::int64_t{70});
+  EngineConfig cfg;
+  cfg.WithStrategy(core::BinarizationStrategy::kBinaryClassifier);
+
+  struct Pinned {
+    std::uint32_t version;
+    std::uint64_t payload;
+    std::uint64_t file;
+  };
+  const Pinned pinned[] = {
+      {io::kFormatVersion, 0x1c614341b7e475eeull, 0x952416491c744874ull},
+      {io::kFormatVersionV2, 0xb50c083959a980f6ull, 0x50b10b8218fe53a9ull},
+  };
+  for (const Pinned& p : pinned) {
+    TempFile file("pinned_v" + std::to_string(p.version) + ".rbnn");
+    io::SaveEngineArtifact(file.path(), cfg, net, /*classifier_start=*/1,
+                           program, {p.version, /*compress=*/false});
+    const std::vector<io::Chunk> chunks = io::ReadChunkFile(file.path());
+    const io::Chunk* compiled = nullptr;
+    for (const io::Chunk& chunk : chunks) {
+      if (chunk.tag == "compiled-bnn") compiled = &chunk;
+    }
+    ASSERT_NE(compiled, nullptr) << "v" << p.version;
+    EXPECT_EQ(Fnv1a(compiled->payload), p.payload) << "v" << p.version;
+    EXPECT_EQ(Fnv1a(ReadFileBytes(file.path())), p.file) << "v" << p.version;
   }
 }
 

@@ -169,13 +169,88 @@ TEST(BitMatrixSerdeTest, HugeWordCountRejectedBeforeAllocation) {
   EXPECT_THROW((void)LoadBitMatrix(r), std::runtime_error);
 }
 
-TEST(BnnModelSerdeTest, HugeThresholdCountRejectedBeforeAllocation) {
+TEST(DenseProgramSerdeTest, HugeThresholdCountRejectedBeforeAllocation) {
   ByteWriter w;
   w.WriteU64(1);         // one hidden layer
   SaveBitMatrix(core::BitMatrix(2, 4), w);
   w.WriteU64(1ull << 60);  // threshold count far beyond the payload
-  ByteReader r(w.bytes(), "bnn model");
-  EXPECT_THROW((void)LoadBnnModel(r), std::runtime_error);
+  ByteReader r(w.bytes(), "dense program");
+  EXPECT_THROW((void)LoadDenseProgram(r), std::runtime_error);
+}
+
+TEST(DenseProgramSerdeTest, OutOfRangeThresholdRejected) {
+  core::BnnProgram program;
+  program.SetInputShape({8, 1, 1});
+  program.AddStage(core::DenseHiddenStage(core::BitMatrix(2, 8), {3, 42}));
+  program.AddStage(
+      core::DenseOutputStage(core::BitMatrix(2, 2), {1.0f, 1.0f}, {0.0f, 0.0f}));
+  ByteWriter w;
+  SaveDenseProgram(program, w);  // writes without validating
+  ByteReader r(w.bytes(), "dense program");
+  EXPECT_THROW((void)LoadDenseProgram(r), std::runtime_error);
+}
+
+/// Feeds a hand-built program through the "compiled-program" codec. The
+/// writer does not validate, so this is exactly the byte stream a hostile
+/// artifact can carry; the loader must answer std::runtime_error.
+void ExpectProgramBytesRejected(const core::BnnProgram& program) {
+  ByteWriter w;
+  SaveBnnProgram(program, w);
+  ByteReader r(w.bytes(), "program");
+  EXPECT_THROW((void)LoadBnnProgram(r), std::runtime_error);
+}
+
+core::ProgramStage OutputStage(std::int64_t in) {
+  return core::DenseOutputStage(core::BitMatrix(2, in), {1.0f, 1.0f},
+                                {0.0f, 0.0f});
+}
+
+TEST(ProgramSerdeTest, InputShapeWhoseBitCountOverflowsRejected) {
+  core::BnnProgram program;
+  program.SetInputShape({std::int64_t{1} << 40, std::int64_t{1} << 40, 1});
+  program.AddStage(OutputStage(8));
+  ExpectProgramBytesRejected(program);
+}
+
+TEST(ProgramSerdeTest, PoolPaddingThatOverflowsOutputSizeRejected) {
+  core::BnnProgram program;
+  program.SetInputShape({1, 4, 4});
+  core::ProgramStage pool;
+  pool.kind = core::StageKind::kPool;
+  pool.pool.geom = {1, 4, 4, 2, 2, 2, 2, std::int64_t{1} << 62, 0};
+  pool.out_shape = {1, 2, 2};
+  program.AddStage(std::move(pool));
+  program.AddStage(OutputStage(4));
+  ExpectProgramBytesRejected(program);
+}
+
+TEST(ProgramSerdeTest, ConvGeometryThatOverflowsRejected) {
+  const auto conv_program = [](const core::StageGeometry& geom) {
+    core::BnnProgram program;
+    program.SetInputShape({geom.in_channels, geom.in_h, geom.in_w});
+    core::ProgramStage conv;
+    conv.gemm.lowering = core::GemmLowering::kConv;
+    conv.gemm.geom = geom;
+    conv.gemm.weights = core::BitMatrix(2, 1);
+    conv.gemm.per_pixel_thresholds = true;
+    conv.gemm.thresholds = {1, 1};
+    conv.out_shape = {2, 1, 1};
+    program.AddStage(std::move(conv));
+    program.AddStage(OutputStage(2));
+    return program;
+  };
+  constexpr std::int64_t k1 = 1;
+  // in + 2 * pad overflows int64 outright.
+  ExpectProgramBytesRejected(
+      conv_program({1, 2, 2, 1, 1, 1, 1, k1 << 62, k1 << 62}));
+  // Each output side fits, but patches x units (the per-pixel threshold
+  // count) does not.
+  ExpectProgramBytesRejected(
+      conv_program({1, 2, 2, 1, 1, 1, 1, k1 << 30, k1 << 30}));
+  // The kernel fits the padded input, but channels x kernel (the patch
+  // width) overflows.
+  ExpectProgramBytesRejected(
+      conv_program({k1 << 20, 1, 1, k1 << 50, 1, 1, 1, k1 << 49, 0}));
 }
 
 TEST(BitMatrixSerdeTest, FromWordsRejectsBadShapes) {

@@ -77,10 +77,10 @@ TEST(EcgModel, BinaryClassifierVariantCompiles) {
   EcgNetConfig cfg = EcgNetConfig::BenchScale();
   cfg.strategy = core::BinarizationStrategy::kBinaryClassifier;
   auto built = BuildEcgNet(cfg, rng);
-  const core::BnnModel compiled =
-      core::CompileClassifier(built.net, built.classifier_start);
+  const core::BnnProgram compiled =
+      core::CompileProgram(built.net, built.classifier_start);
   compiled.Validate();
-  EXPECT_EQ(compiled.output().num_classes(), 2);
+  EXPECT_EQ(compiled.num_classes(), 2);
 }
 
 TEST(EcgModel, ForwardBackwardSmokeAtBenchScale) {

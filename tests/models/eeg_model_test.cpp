@@ -98,11 +98,11 @@ TEST(EegModel, BinarizedClassifierCompiles) {
   EegNetConfig cfg = EegNetConfig::BenchScale();
   cfg.strategy = core::BinarizationStrategy::kBinaryClassifier;
   auto built = BuildEegNet(cfg, rng);
-  const core::BnnModel compiled =
-      core::CompileClassifier(built.net, built.classifier_start);
+  const core::BnnProgram compiled =
+      core::CompileProgram(built.net, built.classifier_start);
   compiled.Validate();
-  EXPECT_EQ(compiled.num_hidden(), 1u);
-  EXPECT_EQ(compiled.output().num_classes(), 2);
+  EXPECT_EQ(compiled.num_gemm_stages(), 2u);  // one hidden, one output
+  EXPECT_EQ(compiled.num_classes(), 2);
 }
 
 TEST(EegModel, ForwardBackwardSmokeAtBenchScale) {

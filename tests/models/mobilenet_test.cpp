@@ -31,14 +31,14 @@ TEST(MobileNet, BinaryClassifierIs5P7MBits) {
   MobileNetConfig cfg = MobileNetConfig::PaperScale();
   cfg.binary_classifier = true;
   auto built = BuildMobileNetV1(cfg, rng);
-  const core::BnnModel compiled =
-      core::CompileClassifier(built.net, built.classifier_start);
+  const core::BnnProgram compiled =
+      core::CompileProgram(built.net, built.classifier_start);
   // Paper: two layers of 5.7 M binary parameters = 696 KB.
   EXPECT_NEAR(static_cast<double>(compiled.TotalWeightBits()), 5.7e6, 0.1e6);
   EXPECT_NEAR(static_cast<double>(compiled.TotalWeightBits()) / 8.0 / 1024.0,
               696.0, 10.0);
-  EXPECT_EQ(compiled.num_hidden(), 1u);
-  EXPECT_EQ(compiled.output().num_classes(), 1000);
+  EXPECT_EQ(compiled.num_gemm_stages(), 2u);  // one hidden, one output
+  EXPECT_EQ(compiled.num_classes(), 1000);
 }
 
 TEST(MobileNet, WidthMultiplierShrinksModel) {
@@ -67,10 +67,10 @@ TEST(MobileNet, BenchScaleBinaryClassifierCompiles) {
   MobileNetConfig cfg = MobileNetConfig::BenchScale(8);
   cfg.binary_classifier = true;
   auto built = BuildMobileNetV1(cfg, rng);
-  const core::BnnModel compiled =
-      core::CompileClassifier(built.net, built.classifier_start);
+  const core::BnnProgram compiled =
+      core::CompileProgram(built.net, built.classifier_start);
   compiled.Validate();
-  EXPECT_EQ(compiled.output().num_classes(), 8);
+  EXPECT_EQ(compiled.num_classes(), 8);
 }
 
 TEST(MobileNet, RejectsEmptyBlockList) {
