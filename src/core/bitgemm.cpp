@@ -59,23 +59,64 @@ void GemmScalar(const std::uint64_t* x, std::int64_t n, const std::uint64_t* w,
   }
 }
 
-/// out[j] = XnorCount(x + j * x_stride, w + j * wpr): the XnorRowsKernel
-/// contract, inlined into a portable and a POPCNT-compiled kernel.
-[[gnu::always_inline]] inline void RowsWords(const std::uint64_t* x,
-                                             std::int64_t x_stride,
-                                             const std::uint64_t* w,
-                                             std::int64_t m, std::int64_t wpr,
-                                             std::int32_t* out) {
-  for (std::int64_t j = 0; j < m; ++j) {
-    out[j] = static_cast<std::int32_t>(
-        XnorCount(x + j * x_stride, w + j * wpr, wpr));
+void GatherFieldScalar(const PixelGrid& g, const std::uint64_t* src,
+                       int shift, std::uint64_t* dst) {
+  const std::int64_t stride = PlanarStride(g.oh * g.ow);
+  const bool carries = shift + g.kw > 64;
+  for (std::int64_t oy = 0, p = 0; oy < g.oh; ++oy) {
+    const std::uint64_t* row = src + oy * g.row_step;
+    for (std::int64_t ox = 0; ox < g.ow; ++ox, ++p) {
+      const std::uint64_t v = ExtractField(row, ox * g.stride_w, g.kw);
+      dst[p] |= v << shift;
+      if (carries) dst[stride + p] |= v >> (64 - shift);
+    }
   }
 }
 
-void RowsScalar(const std::uint64_t* x, std::int64_t x_stride,
-                const std::uint64_t* w, std::int64_t m, std::int64_t wpr,
-                std::int32_t* out) {
-  RowsWords(x, x_stride, w, m, wpr, out);
+/// The (unit, pixel) loop shared by both threshold kernels: `quad` computes
+/// the output bits of pixels [p, p + len) of one unit as the low `len` bits
+/// of a word, given the unit's weight row, patch group, count base
+/// (cols + bias) and thresholds.
+template <int kPixels, typename Quad>
+[[gnu::always_inline]] inline void ForEachUnitPixels(
+    const std::uint64_t* block, std::int64_t pixels, bool grouped,
+    const BitMatrix& w, const std::int32_t* bias,
+    const std::int32_t* thresholds, bool per_pixel, std::uint64_t* out,
+    Quad quad) {
+  const std::int64_t stride = PlanarStride(pixels), wpr = w.words_per_row();
+  const std::uint64_t* weights = w.words().data();
+  BitWriter bits(out);
+  for (std::int64_t u = 0; u < w.rows(); ++u) {
+    const std::int64_t base = w.cols() + (bias ? bias[u] : 0);
+    const std::int32_t* t = thresholds + (per_pixel ? u * pixels : u);
+    const std::uint64_t* patch = block + (grouped ? u * wpr * stride : 0);
+    for (std::int64_t p = 0; p < pixels; p += kPixels) {
+      const int len = static_cast<int>(std::min<std::int64_t>(pixels - p,
+                                                              kPixels));
+      bits.Put(quad(weights + u * wpr, patch + p, base, t, p, len), len);
+    }
+  }
+  bits.Flush();
+}
+
+void XnorThresholdScalar(const std::uint64_t* block, std::int64_t pixels,
+                         bool grouped, const BitMatrix& w,
+                         const std::int32_t* bias,
+                         const std::int32_t* thresholds, bool per_pixel,
+                         std::uint64_t* out) {
+  const std::int64_t stride = PlanarStride(pixels), wpr = w.words_per_row();
+  ForEachUnitPixels<1>(
+      block, pixels, grouped, w, bias, thresholds, per_pixel, out,
+      [&](const std::uint64_t* wu, const std::uint64_t* patch,
+          std::int64_t base, const std::int32_t* t, std::int64_t p, int) {
+        // Both operands have zero padding bits, so XOR counts only the
+        // cols logical bits: the XNOR popcount is cols - differences.
+        std::int64_t diff = 0;
+        for (std::int64_t k = 0; k < wpr; ++k) {
+          diff += std::popcount(patch[k * stride] ^ wu[k]);
+        }
+        return std::uint64_t{base - diff >= t[per_pixel ? p : 0]};
+      });
 }
 
 #ifdef RRAMBNN_BITGEMM_X86
@@ -92,6 +133,85 @@ __attribute__((target("avx2"))) inline __m256i Popcount256(__m256i v) {
   const __m256i counts = _mm256_add_epi8(_mm256_shuffle_epi8(lookup, lo),
                                          _mm256_shuffle_epi8(lookup, hi));
   return _mm256_sad_epu8(counts, _mm256_setzero_si256());
+}
+
+/// GatherFieldScalar for one-word padded rows: every field of pixel row oy
+/// is a shift of the same word, so one variable shift extracts four.
+__attribute__((target("avx2"))) void GatherFieldAvx2(const PixelGrid& g,
+                                                     const std::uint64_t* src,
+                                                     int shift,
+                                                     std::uint64_t* dst) {
+  const std::int64_t stride = PlanarStride(g.oh * g.ow);
+  const bool carries = shift + g.kw > 64;
+  const __m256i field = _mm256_set1_epi64x(
+      static_cast<long long>(~std::uint64_t{0} >> (64 - g.kw)));
+  const __m256i lane = _mm256_setr_epi64x(0, 1, 2, 3);
+  const __m128i up = _mm_cvtsi32_si128(shift);
+  const __m128i down = _mm_cvtsi32_si128(64 - shift);
+  for (std::int64_t ox = 0; ox < g.ow; ox += 4) {
+    const __m256i cols = _mm256_add_epi64(_mm256_set1_epi64x(ox), lane);
+    // Lanes past the last column deposit zero into the next pixel row (or
+    // the block's slack, see PlanarStride).
+    const __m256i mask = _mm256_and_si256(
+        field, _mm256_cmpgt_epi64(_mm256_set1_epi64x(g.ow), cols));
+    const __m256i offsets =
+        _mm256_mul_epu32(cols, _mm256_set1_epi64x(g.stride_w));
+    std::uint64_t* d = dst + ox;
+    for (std::int64_t oy = 0; oy < g.oh; ++oy, d += g.ow) {
+      const __m256i row =
+          _mm256_set1_epi64x(static_cast<long long>(src[oy * g.row_step]));
+      const __m256i v =
+          _mm256_and_si256(_mm256_srlv_epi64(row, offsets), mask);
+      auto* lo = reinterpret_cast<__m256i*>(d);
+      _mm256_storeu_si256(lo, _mm256_or_si256(_mm256_loadu_si256(lo),
+                                              _mm256_sll_epi64(v, up)));
+      if (carries) {
+        auto* hi = reinterpret_cast<__m256i*>(d + stride);
+        _mm256_storeu_si256(hi, _mm256_or_si256(_mm256_loadu_si256(hi),
+                                                _mm256_srl_epi64(v, down)));
+      }
+    }
+  }
+}
+
+__attribute__((target("avx2"))) void XnorThresholdAvx2(
+    const std::uint64_t* block, std::int64_t pixels, bool grouped,
+    const BitMatrix& w, const std::int32_t* bias,
+    const std::int32_t* thresholds, bool per_pixel, std::uint64_t* out) {
+  const std::int64_t stride = PlanarStride(pixels), wpr = w.words_per_row();
+  ForEachUnitPixels<4>(
+      block, pixels, grouped, w, bias, thresholds, per_pixel, out,
+      [&](const std::uint64_t* wu, const std::uint64_t* patch,
+          std::int64_t base, const std::int32_t* t, std::int64_t p,
+          int len) __attribute__((target("avx2"))) {
+        __m256i diff = _mm256_setzero_si256();
+        for (std::int64_t k = 0; k < wpr; ++k) {
+          const __m256i x = _mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(patch + k * stride));
+          const __m256i weight =
+              _mm256_set1_epi64x(static_cast<long long>(wu[k]));
+          diff = _mm256_add_epi64(diff,
+                                  Popcount256(_mm256_xor_si256(x, weight)));
+        }
+        // base - diff >= t  <=>  base + 1 - t > diff.
+        __m256i limit = _mm256_set1_epi64x(base + 1);
+        if (per_pixel) {
+          alignas(16) std::int32_t tail[4] = {};
+          const std::int32_t* tp = t + p;
+          if (len < 4) {
+            std::copy(tp, tp + len, tail);
+            tp = tail;
+          }
+          limit = _mm256_sub_epi64(
+              limit, _mm256_cvtepi32_epi64(_mm_loadu_si128(
+                         reinterpret_cast<const __m128i*>(tp))));
+        } else {
+          limit = _mm256_sub_epi64(limit, _mm256_set1_epi64x(t[0]));
+        }
+        const int bits = _mm256_movemask_pd(
+            _mm256_castsi256_pd(_mm256_cmpgt_epi64(limit, diff)));
+        return static_cast<std::uint64_t>(bits) & ((1u << len) - 1);
+      });
 }
 
 __attribute__((target("avx2"))) void GemmAvx2(const std::uint64_t* x,
@@ -143,12 +263,6 @@ __attribute__((target("popcnt"))) void GemmPopcnt(
   }
 }
 
-__attribute__((target("popcnt"))) void RowsPopcnt(
-    const std::uint64_t* x, std::int64_t x_stride, const std::uint64_t* w,
-    std::int64_t m, std::int64_t wpr, std::int32_t* out) {
-  RowsWords(x, x_stride, w, m, wpr, out);
-}
-
 bool CpuHasAvx2() {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt");
 }
@@ -194,11 +308,37 @@ void XnorPopcountGemm(const BitMatrix& x, const BitMatrix& w,
                     out.data());
 }
 
-XnorRowsKernel SelectXnorRowsKernel() {
+std::int64_t PlanarStride(std::int64_t pixels) {
+  // A gather's last vector may start at pixel oh * ow - 1 - ((ow - 1) % 4)
+  // and reach 3 words further: round pixels + 3 up to a multiple of 4.
+  return (pixels + 6) / 4 * 4;
+}
+
+void GatherPlanarField(const PixelGrid& grid, const std::uint64_t* src,
+                       int shift, std::uint64_t* dst) {
 #ifdef RRAMBNN_BITGEMM_X86
-  if (UseHardwareKernels()) return RowsPopcnt;
+  if (grid.row_words == 1 && UseHardwareKernels()) {
+    GatherFieldAvx2(grid, src, shift, dst);
+    return;
+  }
 #endif
-  return RowsScalar;
+  GatherFieldScalar(grid, src, shift, dst);
+}
+
+void XnorThresholdPlanar(const std::uint64_t* block, std::int64_t pixels,
+                         bool grouped, const BitMatrix& w,
+                         const std::int32_t* bias,
+                         const std::int32_t* thresholds, bool per_pixel,
+                         std::uint64_t* out) {
+#ifdef RRAMBNN_BITGEMM_X86
+  if (UseHardwareKernels()) {
+    XnorThresholdAvx2(block, pixels, grouped, w, bias, thresholds, per_pixel,
+                      out);
+    return;
+  }
+#endif
+  XnorThresholdScalar(block, pixels, grouped, w, bias, thresholds, per_pixel,
+                      out);
 }
 
 const char* XnorGemmKernelName() {

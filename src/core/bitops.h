@@ -178,6 +178,52 @@ class BitMatrix {
   std::shared_ptr<const void> keepalive_;
 };
 
+/// Bits [bit, bit + len) of `words` as the low bits of a word; len in
+/// [1, 64], bit + len must not exceed the array's bit capacity.
+inline std::uint64_t ExtractField(const std::uint64_t* words, std::int64_t bit,
+                                  int len) {
+  const auto w = static_cast<std::size_t>(bit >> 6);
+  const int off = static_cast<int>(bit & 63);
+  std::uint64_t v = words[w] >> off;
+  if (off + len > 64) v |= words[w + 1] << (64 - off);
+  return v & (~std::uint64_t{0} >> (64 - len));
+}
+
+/// Appends bit fields to a word array from low to high bits, holding the
+/// partial word in a register. Every bit past the last Put is zero once
+/// Flush has written the partial word.
+class BitWriter {
+ public:
+  explicit BitWriter(std::uint64_t* out) : out_(out) {}
+
+  /// Appends the low `len` bits of `v`; len in [1, 64] and no higher bit of
+  /// `v` may be set.
+  void Put(std::uint64_t v, int len) {
+    cur_ |= v << fill_;
+    fill_ += len;
+    if (fill_ >= 64) {
+      *out_++ = cur_;
+      fill_ -= 64;
+      cur_ = fill_ != 0 ? v >> (len - fill_) : 0;
+    }
+  }
+
+  void PutZeros(std::int64_t len) {
+    for (; len > 0; len -= 64) Put(0, len < 64 ? static_cast<int>(len) : 64);
+  }
+
+  void Flush() {
+    if (fill_ != 0) *out_++ = cur_;
+    cur_ = 0;
+    fill_ = 0;
+  }
+
+ private:
+  std::uint64_t* out_;
+  std::uint64_t cur_ = 0;
+  int fill_ = 0;
+};
+
 /// Name of the sign-packing kernel the runtime dispatcher selected for
 /// BitMatrix::FromSignRows ("avx2" or "scalar").
 const char* SignPackKernelName();

@@ -20,17 +20,6 @@ namespace {
 // Get/Set. A run is at most kernel_w <= 64 bits, so it spans at most two
 // source and two destination words.
 
-/// Bits [bit, bit + len) of `words` as the low bits of a word; len in
-/// [1, 64], bit + len must not exceed the array's bit capacity.
-std::uint64_t ExtractField(const std::uint64_t* words, std::int64_t bit,
-                           int len) {
-  const auto w = static_cast<std::size_t>(bit >> 6);
-  const int off = static_cast<int>(bit & 63);
-  std::uint64_t v = words[w] >> off;
-  if (off + len > 64) v |= words[w + 1] << (64 - off);
-  return v & (~std::uint64_t{0} >> (64 - len));
-}
-
 /// ORs the low `len` bits of `value` into `words` at bit offset `bit`.
 /// The destination bits must be zero (freshly zeroed patch buffer).
 void DepositField(std::uint64_t* words, std::int64_t bit, int len,
@@ -140,45 +129,13 @@ class WeightPopcounter final : public StagePopcounter {
 //
 // ScoresBatch runs every hidden stage as one pass that builds packed output
 // words directly: no per-bit BitMatrix::Set, no materialized patch matrix.
+// A conv / depthwise sample goes through three word-parallel phases: a
+// pixel-planar gather (each kernel-row field's patch-word position computed
+// once for all pixels), an XNOR-popcount across four pixels per vector, and
+// a threshold compare whose bits are appended unit-major, so output words
+// are written in order with no transpose and no per-bit read-modify-write.
 // Each stage produces exactly the popcounts of the reference kernels
 // (BuildPatchMatrix + XnorPopcountGemm), so every output bit is unchanged.
-
-/// Appends bit fields to a word array from low to high bits, holding the
-/// partial word in a register. Every bit past the last Put is zero once
-/// Flush has written the partial word.
-class BitWriter {
- public:
-  explicit BitWriter(std::uint64_t* out) : out_(out) {}
-
-  /// Appends the low `len` bits of `v`; len in [1, 64] and no higher bit of
-  /// `v` may be set.
-  void Put(std::uint64_t v, int len) {
-    cur_ |= v << fill_;
-    fill_ += len;
-    if (fill_ >= 64) {
-      *out_++ = cur_;
-      fill_ -= 64;
-      cur_ = fill_ != 0 ? v >> (len - fill_) : 0;
-    }
-  }
-
-  void PutZeros(std::int64_t len) {
-    for (; len > 0; len -= 64) {
-      Put(0, static_cast<int>(std::min<std::int64_t>(len, 64)));
-    }
-  }
-
-  void Flush() {
-    if (fill_ != 0) *out_++ = cur_;
-    cur_ = 0;
-    fill_ = 0;
-  }
-
- private:
-  std::uint64_t* out_;
-  std::uint64_t cur_ = 0;
-  int fill_ = 0;
-};
 
 /// Throws unless `in` and `w` have the shapes the stage's raw word indexing
 /// assumes (a substrate of the wrong shape, or an unvalidated program).
@@ -219,19 +176,6 @@ void CheckStageOperands(const ProgramStage& stage, const BitMatrix& in,
   }
 }
 
-/// Per weight row: the substrate bias minus the XNOR ones of the final
-/// word's zero padding, so raw full-word counts compare against thresholds.
-std::vector<std::int32_t> PopAdjust(std::int64_t units, const BitMatrix& w,
-                                    const std::int32_t* bias) {
-  const auto pad_ones =
-      static_cast<std::int32_t>(w.words_per_row() * 64 - w.cols());
-  std::vector<std::int32_t> adjust(static_cast<std::size_t>(units));
-  for (std::int64_t u = 0; u < units; ++u) {
-    adjust[static_cast<std::size_t>(u)] = (bias ? bias[u] : 0) - pad_ones;
-  }
-  return adjust;
-}
-
 /// Hidden dense stage: one XNOR-popcount GEMM, then each sample's threshold
 /// bits ORed straight into its output words.
 BitMatrix DenseStageBatch(const PackedGemmStage& g, const BitMatrix& in,
@@ -269,9 +213,13 @@ void StagePaddedPlanes(const std::uint64_t* src, const StageGeometry& g,
         std::fill(dst, dst + row_words, std::uint64_t{0});
         continue;
       }
+      const std::int64_t base = (c * h + iy) * w;
+      if (row_words == 1) {
+        *dst = ExtractField(src, base, static_cast<int>(w)) << g.pad_w;
+        continue;
+      }
       BitWriter row(dst);
       row.PutZeros(g.pad_w);
-      const std::int64_t base = (c * h + iy) * w;
       for (std::int64_t x = 0; x < w; x += 64) {
         const int len = static_cast<int>(std::min<std::int64_t>(w - x, 64));
         row.Put(ExtractField(src, base + x, len), len);
@@ -282,112 +230,111 @@ void StagePaddedPlanes(const std::uint64_t* src, const StageGeometry& g,
   }
 }
 
-/// Fused kConv / kDepthwise stage. Per sample the padded input planes are
-/// staged once. Each output pixel's patches are then assembled in registers,
-/// one field per channel and kernel row in BuildPatchMatrix's bit order
-/// (c*kh*kw + ky*kw + kx): a conv pixel has one patch over all channels that
-/// meets every weight row, a depthwise pixel one patch per channel that
-/// meets only its own row. Each popcount is thresholded and ORed into the
-/// output word of bit u * patches + p.
+/// Fused kConv / kDepthwise stage, three word-parallel phases per sample
+/// after its padded input planes are staged. Gather: every (channel, kernel
+/// row) field lands at one bit position of the pixel-planar patch block for
+/// all output pixels (the field's place in BuildPatchMatrix's bit order
+/// c*kh*kw + ky*kw + kx is computed once, not per pixel). Popcount and
+/// threshold: XnorThresholdPlanar meets each unit row with four pixels at a
+/// time and appends output bit u * patches + p in order, so whole output
+/// words are written once.
 BitMatrix ConvStageBatch(const PackedGemmStage& g, const BitMatrix& in,
                          const BitMatrix& w, const std::int32_t* bias) {
   const StageGeometry& geo = g.geom;
   const bool depthwise = g.lowering == GemmLowering::kDepthwise;
   const std::int64_t n = in.rows(), units = g.units();
   const std::int64_t c_n = geo.in_channels, kh = geo.kernel_h;
-  const std::int64_t groups = depthwise ? c_n : 1;
-  const std::int64_t group_channels = depthwise ? 1 : c_n;
-  const int kw = static_cast<int>(geo.kernel_w);
-  const std::uint64_t field_mask = ~std::uint64_t{0} >> (64 - kw);
-  const std::int64_t oh = geo.OutH(), ow = geo.OutW(), patches = oh * ow;
+  const std::int64_t kw = geo.kernel_w;
+  const std::int64_t patches = geo.NumPatches();
   const std::int64_t padded_h = geo.in_h + 2 * geo.pad_h;
   const std::int64_t row_words = (geo.in_w + 2 * geo.pad_w + 63) / 64;
   const std::int64_t plane_words = padded_h * row_words;
   const std::int64_t wpr = w.words_per_row();
   const std::int64_t out_wpr = (units * patches + 63) / 64;
+  const std::int64_t stride = PlanarStride(patches);
+  const PixelGrid grid{geo.OutH(), geo.OutW(), geo.stride_w,
+                       geo.stride_h * row_words, row_words,
+                       static_cast<int>(kw)};
 
-  const std::vector<std::int32_t> adjust = PopAdjust(units, w, bias);
-  // Threshold of (unit u, pixel p) at thr[u * thr_unit + p * thr_pixel].
-  const std::int32_t* thr = g.thresholds.data();
-  const std::int64_t thr_unit = g.per_pixel_thresholds ? patches : 1;
-  const std::int64_t thr_pixel = g.per_pixel_thresholds ? 1 : 0;
-  const std::uint64_t* weights = w.words().data();
-  const XnorRowsKernel popcount = SelectXnorRowsKernel();
-
-  std::vector<std::uint64_t> out(static_cast<std::size_t>(n * out_wpr), 0);
+  std::vector<std::uint64_t> out(static_cast<std::size_t>(n * out_wpr));
   std::vector<std::uint64_t> planes(
       static_cast<std::size_t>(c_n * plane_words));
-  std::vector<std::uint64_t> patch(static_cast<std::size_t>(groups * wpr));
-  std::vector<std::int32_t> pops(static_cast<std::size_t>(units));
+  std::vector<std::uint64_t> block(
+      static_cast<std::size_t>((depthwise ? c_n : 1) * wpr * stride));
   for (std::int64_t i = 0; i < n; ++i) {
     StagePaddedPlanes(in.RowWords(i).data(), geo, padded_h, row_words,
                       planes.data());
-    std::uint64_t* dst = out.data() + i * out_wpr;
-    for (std::int64_t oy = 0, p = 0; oy < oh; ++oy) {
-      for (std::int64_t ox = 0; ox < ow; ++ox, ++p) {
-        // Every field of this pixel starts at padded column x0 of its row,
-        // so the word, bit offset and two-word straddle are shared.
-        const std::int64_t x0 = ox * geo.stride_w;
-        const std::uint64_t* top =
-            planes.data() + oy * geo.stride_h * row_words + (x0 >> 6);
-        const int off = static_cast<int>(x0 & 63);
-        const bool straddles = off + kw > 64;
-        for (std::int64_t grp = 0; grp < groups; ++grp) {
-          BitWriter bits(patch.data() + grp * wpr);
-          for (std::int64_t c = grp * group_channels;
-               c < (grp + 1) * group_channels; ++c) {
-            const std::uint64_t* row = top + c * plane_words;
-            for (std::int64_t ky = 0; ky < kh; ++ky, row += row_words) {
-              std::uint64_t v = row[0] >> off;
-              if (straddles) v |= row[1] << (64 - off);
-              bits.Put(v & field_mask, kw);
-            }
-          }
-          bits.Flush();
-        }
-        popcount(patch.data(), depthwise ? wpr : 0, weights, units, wpr,
-                 pops.data());
-        const std::int32_t* t = thr + p * thr_pixel;
-        for (std::int64_t u = 0, bit = p; u < units;
-             ++u, bit += patches, t += thr_unit) {
-          const std::int32_t count = pops[static_cast<std::size_t>(u)] +
-                                     adjust[static_cast<std::size_t>(u)];
-          dst[bit >> 6] |= std::uint64_t{count >= *t} << (bit & 63);
-        }
+    std::fill(block.begin(), block.end(), std::uint64_t{0});
+    for (std::int64_t c = 0; c < c_n; ++c) {
+      // A depthwise channel is its own patch group; conv channels share one.
+      std::uint64_t* group = block.data() + (depthwise ? c * wpr * stride : 0);
+      const std::uint64_t* row = planes.data() + c * plane_words;
+      for (std::int64_t ky = 0; ky < kh; ++ky, row += row_words) {
+        const std::int64_t bit = ((depthwise ? 0 : c) * kh + ky) * kw;
+        GatherPlanarField(grid, row, static_cast<int>(bit & 63),
+                          group + (bit >> 6) * stride);
       }
     }
+    XnorThresholdPlanar(block.data(), patches, depthwise, w, bias,
+                        g.thresholds.data(), g.per_pixel_thresholds,
+                        out.data() + i * out_wpr);
   }
   return BitMatrix::FromWords(n, units * patches, std::move(out));
 }
 
+/// dst[k] |= bits [64k + shift, 64k + shift + 64) of the n-word array
+/// `src`, reading bits past its end as zero.
+void OrShiftedDown(const std::uint64_t* src, std::int64_t n,
+                   std::int64_t shift, std::uint64_t* dst) {
+  const std::int64_t q = shift >> 6;
+  const int r = static_cast<int>(shift & 63);
+  for (std::int64_t k = 0; k + q < n; ++k) {
+    std::uint64_t v = src[k + q] >> r;
+    if (r != 0 && k + q + 1 < n) v |= src[k + q + 1] << (64 - r);
+    dst[k] |= v;
+  }
+}
+
 /// Max pooling over {-1,+1} bits: a window is +1 iff any of its bits is
-/// set. Per output row the window's kernel_h input rows are ORed into one
-/// word-aligned row, then each output bit tests one field of it. Pooling
-/// has no padding, so every window lies inside the input; output bits are
-/// appended in CHW order.
+/// set. Per sample, kernel_h - 1 + kernel_w - 1 word-parallel shift-ORs of
+/// the whole CHW row leave at bit j the OR of the window whose top-left
+/// input bit is j. Pooling has no padding, so every window lies inside its
+/// channel plane. Each output row then reads one bit per window from a
+/// register-held span of that row and is appended in CHW order with one Put
+/// per 64 outputs.
 BitMatrix PoolStageBatch(const StageGeometry& g, const BitMatrix& in) {
   const std::int64_t c_n = g.in_channels, h = g.in_h, w = g.in_w;
-  const std::int64_t oh = g.OutH(), ow = g.OutW();
-  const int kw = static_cast<int>(g.kernel_w);
+  const std::int64_t oh = g.OutH(), ow = g.OutW(), sw = g.stride_w;
+  const std::int64_t in_wpr = in.words_per_row();
   const std::int64_t out_wpr = (c_n * oh * ow + 63) / 64;
+  // Outputs per register span: windows ox .. ox + per - 1 start within 64
+  // bits of each other.
+  const std::int64_t per = std::min<std::int64_t>(64, 63 / sw + 1);
   std::vector<std::uint64_t> out(static_cast<std::size_t>(in.rows() * out_wpr));
-  std::vector<std::uint64_t> any(static_cast<std::size_t>((w + 63) / 64));
+  std::vector<std::uint64_t> rows(static_cast<std::size_t>(in_wpr));
+  std::vector<std::uint64_t> windows(static_cast<std::size_t>(in_wpr));
   for (std::int64_t i = 0; i < in.rows(); ++i) {
     const std::uint64_t* src = in.RowWords(i).data();
+    std::copy(src, src + in_wpr, rows.begin());
+    for (std::int64_t ky = 1; ky < g.kernel_h; ++ky) {
+      OrShiftedDown(src, in_wpr, ky * w, rows.data());
+    }
+    windows = rows;
+    for (std::int64_t kx = 1; kx < g.kernel_w; ++kx) {
+      OrShiftedDown(rows.data(), in_wpr, kx, windows.data());
+    }
     BitWriter bits(out.data() + i * out_wpr);
     for (std::int64_t c = 0; c < c_n; ++c) {
       for (std::int64_t oy = 0; oy < oh; ++oy) {
-        std::fill(any.begin(), any.end(), std::uint64_t{0});
-        for (std::int64_t ky = 0; ky < g.kernel_h; ++ky) {
-          const std::int64_t base = (c * h + oy * g.stride_h + ky) * w;
-          for (std::int64_t x = 0; x < w; x += 64) {
-            const int len = static_cast<int>(std::min<std::int64_t>(w - x, 64));
-            any[static_cast<std::size_t>(x >> 6)] |=
-                ExtractField(src, base + x, len);
-          }
-        }
-        for (std::int64_t ox = 0; ox < ow; ++ox) {
-          bits.Put(ExtractField(any.data(), ox * g.stride_w, kw) != 0, 1);
+        const std::int64_t start = (c * h + oy * g.stride_h) * w;
+        for (std::int64_t ox = 0; ox < ow; ox += per) {
+          const int len = static_cast<int>(std::min(ow - ox, per));
+          const std::uint64_t span = ExtractField(
+              windows.data(), start + ox * sw,
+              static_cast<int>((len - 1) * sw + 1));
+          std::uint64_t word = 0;
+          for (int j = 0; j < len; ++j) word |= ((span >> (j * sw)) & 1) << j;
+          bits.Put(word, len);
         }
       }
     }
@@ -870,20 +817,35 @@ void BnnProgram::Validate() const {
 }
 
 std::string BnnProgram::Describe() const {
+  // Appended piece by piece: chained `"x" + std::to_string(...)`
+  // temporaries make GCC 12 report a spurious -Wrestrict overlap.
   auto geo = [](const StageGeometry& g) {
-    std::string s = std::to_string(g.kernel_h) + "x" +
-                    std::to_string(g.kernel_w) + "/s" +
-                    std::to_string(g.stride_h);
-    if (g.stride_w != g.stride_h) s += "x" + std::to_string(g.stride_w);
+    std::string s = std::to_string(g.kernel_h);
+    s += 'x';
+    s += std::to_string(g.kernel_w);
+    s += "/s";
+    s += std::to_string(g.stride_h);
+    if (g.stride_w != g.stride_h) {
+      s += 'x';
+      s += std::to_string(g.stride_w);
+    }
     if (g.padded()) {
-      s += " p" + std::to_string(g.pad_h);
-      if (g.pad_w != g.pad_h) s += "x" + std::to_string(g.pad_w);
+      s += " p";
+      s += std::to_string(g.pad_h);
+      if (g.pad_w != g.pad_h) {
+        s += 'x';
+        s += std::to_string(g.pad_w);
+      }
     }
     return s;
   };
   auto shape3 = [](const StageGeometry& g) {
-    return std::to_string(g.in_channels) + "x" + std::to_string(g.in_h) + "x" +
-           std::to_string(g.in_w);
+    std::string s = std::to_string(g.in_channels);
+    s += 'x';
+    s += std::to_string(g.in_h);
+    s += 'x';
+    s += std::to_string(g.in_w);
+    return s;
   };
   std::string out;
   for (const ProgramStage& stage : stages_) {

@@ -251,11 +251,15 @@ class BnnProgram {
 
 /// One hidden stage of the batched executor: packed activations
 /// [N, in_bits] -> [N, out_bits]. ScoresBatch chains these calls. GEMM
-/// stages fuse their work into one pass that writes output words: kConv /
-/// kDepthwise gather each output pixel's patch in registers from zero-padded
-/// staged input rows, XNOR-popcount it against the unit rows, and OR the
-/// threshold bit into place. Popcounts equal those of the reference kernels
-/// (BuildPatchMatrix + XnorPopcountGemm), so every bit is identical.
+/// stages fuse their work into one pass that writes output words. kConv /
+/// kDepthwise stage each sample's zero-padded input rows, gather every
+/// (channel, kernel row) field for all output pixels at once into a
+/// pixel-planar patch block (one word per pixel per patch word), then
+/// XNOR-popcount four pixels per vector against each broadcast unit row and
+/// append the threshold bits u * patches + p in order as whole words.
+/// Max-pool stages OR each window with word-parallel shifts. Popcounts equal
+/// those of the reference kernels (BuildPatchMatrix + XnorPopcountGemm), so
+/// every bit is identical.
 /// `substrate` substitutes a GEMM stage's weights (+ popcount bias); reshape
 /// and sign stages return the batch unchanged; the output stage throws
 /// std::invalid_argument (it produces scores, not bits).

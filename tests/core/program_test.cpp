@@ -283,9 +283,14 @@ BitMatrix RandomBits(std::int64_t rows, std::int64_t cols, Rng& rng) {
 
 /// The fused stage executor against the reference kernels it replaces:
 /// BuildPatchMatrix + XnorPopcountGemm + the threshold at (unit, pixel),
-/// with random weights, thresholds and a substrate popcount bias. Covers
-/// kernel_w = 64, pads wider than a kernel row, odd strides and multi-word
-/// rows and patches, on both lowerings and both threshold layouts.
+/// with random weights, thresholds and a substrate popcount bias, on the
+/// hardware kernels and under SetXnorGemmForceScalar. Covers kernel_w = 64,
+/// pads wider than a kernel row, odd strides, multi-word rows and patches,
+/// one-word padded rows (the vector gather) with fields that carry into the
+/// next patch word, pixel counts that are not a multiple of 4 (down to one
+/// pixel), units whose output bits straddle a word, and the image demo's
+/// conv and depthwise geometries, on both lowerings and both threshold
+/// layouts.
 TEST(Program, FusedStageMatchesReferenceKernels) {
   struct Case {
     std::int64_t c, h, w, units, kh, kw, sh, sw, ph, pw;
@@ -299,51 +304,74 @@ TEST(Program, FusedStageMatchesReferenceKernels) {
       {5, 9, 9, 5, 9, 9, 1, 1, 4, 4, true},
       {3, 5, 130, 3, 3, 33, 2, 7, 1, 20, true},
       {2, 2, 2, 2, 1, 1, 1, 1, 0, 0, true},
+      // One pixel, and 6 pixels (a 2-pixel vector tail).
+      {2, 3, 3, 3, 3, 3, 1, 1, 0, 0, false},
+      {3, 4, 5, 3, 3, 3, 1, 1, 0, 0, true},
+      // 3 pixels per unit: every unit but the first straddles output words.
+      {2, 1, 61, 23, 1, 59, 1, 1, 0, 0, false},
+      // One-word padded row (11 bits) with stride 2: 5x5 pixels.
+      {4, 9, 9, 6, 3, 3, 2, 2, 1, 1, false},
+      {4, 9, 9, 4, 3, 3, 2, 2, 1, 1, true},
+      // One-word rows whose 5-bit fields cross patch words at bit 60.
+      {4, 6, 20, 3, 3, 5, 1, 2, 1, 1, false},
+      // The image demo: conv 8x12x12->16 3x3 p1 and dwconv 16x6x6 3x3 p1.
+      {8, 12, 12, 16, 3, 3, 1, 1, 1, 1, false},
+      {16, 6, 6, 16, 3, 3, 1, 1, 1, 1, true},
   };
   Rng rng(43);
   for (const Case& k : cases) {
     for (const bool per_pixel : {false, true}) {
-      ProgramStage stage;
-      PackedGemmStage& g = stage.gemm;
-      g.lowering = k.depthwise ? GemmLowering::kDepthwise : GemmLowering::kConv;
-      g.geom = {k.c, k.h, k.w, k.kh, k.kw, k.sh, k.sw, k.ph, k.pw};
-      const std::int64_t units = k.depthwise ? k.c : k.units;
-      const std::int64_t patch_bits =
-          k.depthwise ? g.geom.ChannelPatchSize() : g.geom.PatchSize();
-      g.weights = RandomBits(units, patch_bits, rng);
-      const std::int64_t num_p = g.geom.NumPatches();
-      g.per_pixel_thresholds = per_pixel;
-      g.thresholds.resize(static_cast<std::size_t>(per_pixel ? units * num_p
-                                                             : units));
-      for (auto& t : g.thresholds) {
-        t = static_cast<std::int32_t>(patch_bits / 2 + rng.UniformInt(7) - 3);
-      }
-      std::vector<std::int32_t> bias(static_cast<std::size_t>(units));
-      for (auto& b : bias) b = static_cast<std::int32_t>(rng.UniformInt(5)) - 2;
-      const BitMatrix substrate = RandomBits(units, patch_bits, rng);
-      const BitMatrix in = RandomBits(5, k.c * k.h * k.w, rng);
+      for (const bool force_scalar : {false, true}) {
+        ProgramStage stage;
+        PackedGemmStage& g = stage.gemm;
+        g.lowering =
+            k.depthwise ? GemmLowering::kDepthwise : GemmLowering::kConv;
+        g.geom = {k.c, k.h, k.w, k.kh, k.kw, k.sh, k.sw, k.ph, k.pw};
+        const std::int64_t units = k.depthwise ? k.c : k.units;
+        const std::int64_t patch_bits =
+            k.depthwise ? g.geom.ChannelPatchSize() : g.geom.PatchSize();
+        g.weights = RandomBits(units, patch_bits, rng);
+        const std::int64_t num_p = g.geom.NumPatches();
+        g.per_pixel_thresholds = per_pixel;
+        g.thresholds.resize(
+            static_cast<std::size_t>(per_pixel ? units * num_p : units));
+        for (auto& t : g.thresholds) {
+          t = static_cast<std::int32_t>(patch_bits / 2 + rng.UniformInt(7) -
+                                        3);
+        }
+        std::vector<std::int32_t> bias(static_cast<std::size_t>(units));
+        for (auto& b : bias) {
+          b = static_cast<std::int32_t>(rng.UniformInt(5)) - 2;
+        }
+        const BitMatrix substrate = RandomBits(units, patch_bits, rng);
+        const BitMatrix in = RandomBits(5, k.c * k.h * k.w, rng);
 
-      const BitMatrix got =
-          RunStageBatch(stage, in, StageSubstrate{&substrate, bias.data()});
-      ASSERT_EQ(got.rows(), in.rows());
-      ASSERT_EQ(got.cols(), units * num_p);
-      std::vector<std::int32_t> pops;
-      for (std::int64_t c0 = 0; c0 < (k.depthwise ? k.c : 1); ++c0) {
-        const std::int64_t c1 = k.depthwise ? c0 + 1 : k.c;
-        XnorPopcountGemm(BuildPatchMatrix(in, g.geom, c0, c1), substrate,
-                         pops);
-        for (std::int64_t i = 0; i < in.rows(); ++i) {
-          for (std::int64_t p = 0; p < num_p; ++p) {
-            for (std::int64_t u = k.depthwise ? c0 : 0;
-                 u < (k.depthwise ? c0 + 1 : units); ++u) {
-              const std::int32_t pop = pops[static_cast<std::size_t>(
-                  (i * num_p + p) * units + u)];
-              const std::int32_t t = g.thresholds[static_cast<std::size_t>(
-                  per_pixel ? u * num_p + p : u)];
-              ASSERT_EQ(got.Get(i, u * num_p + p),
-                        pop + bias[static_cast<std::size_t>(u)] >= t ? +1 : -1)
-                  << "case " << (&k - cases) << " per_pixel " << per_pixel
-                  << " sample " << i << " unit " << u << " pixel " << p;
+        const bool prev = SetXnorGemmForceScalar(force_scalar);
+        const BitMatrix got =
+            RunStageBatch(stage, in, StageSubstrate{&substrate, bias.data()});
+        SetXnorGemmForceScalar(prev);
+        ASSERT_EQ(got.rows(), in.rows());
+        ASSERT_EQ(got.cols(), units * num_p);
+        std::vector<std::int32_t> pops;
+        for (std::int64_t c0 = 0; c0 < (k.depthwise ? k.c : 1); ++c0) {
+          const std::int64_t c1 = k.depthwise ? c0 + 1 : k.c;
+          XnorPopcountGemm(BuildPatchMatrix(in, g.geom, c0, c1), substrate,
+                           pops);
+          for (std::int64_t i = 0; i < in.rows(); ++i) {
+            for (std::int64_t p = 0; p < num_p; ++p) {
+              for (std::int64_t u = k.depthwise ? c0 : 0;
+                   u < (k.depthwise ? c0 + 1 : units); ++u) {
+                const std::int32_t pop = pops[static_cast<std::size_t>(
+                    (i * num_p + p) * units + u)];
+                const std::int32_t t = g.thresholds[static_cast<std::size_t>(
+                    per_pixel ? u * num_p + p : u)];
+                const int want =
+                    pop + bias[static_cast<std::size_t>(u)] >= t ? +1 : -1;
+                ASSERT_EQ(got.Get(i, u * num_p + p), want)
+                    << "case " << (&k - cases) << " per_pixel " << per_pixel
+                    << (force_scalar ? " scalar" : " hardware") << " sample "
+                    << i << " unit " << u << " pixel " << p;
+              }
             }
           }
         }
@@ -352,43 +380,50 @@ TEST(Program, FusedStageMatchesReferenceKernels) {
   }
 }
 
-/// The fused max-pool stage against a per-bit window maximum.
+/// The fused max-pool stage against a per-bit window maximum, on the
+/// hardware kernels and under SetXnorGemmForceScalar. Covers stride-1
+/// overlapping windows and output rows wider than one word.
 TEST(Program, FusedPoolMatchesPerBitMaximum) {
   struct Case {
     std::int64_t c, h, w, kh, kw, sh, sw;
   };
-  const Case cases[] = {
-      {3, 8, 8, 2, 2, 2, 2}, {2, 5, 140, 3, 64, 1, 5}, {4, 7, 9, 3, 2, 2, 3}};
+  const Case cases[] = {{3, 8, 8, 2, 2, 2, 2},   {2, 5, 140, 3, 64, 1, 5},
+                        {4, 7, 9, 3, 2, 2, 3},   {3, 6, 7, 3, 3, 1, 1},
+                        {2, 3, 150, 2, 2, 1, 1}};
   Rng rng(47);
   for (const Case& k : cases) {
-    ProgramStage stage;
-    stage.kind = StageKind::kPool;
-    stage.pool.geom = {k.c, k.h, k.w, k.kh, k.kw, k.sh, k.sw, 0, 0};
-    const StageGeometry& g = stage.pool.geom;
-    // Sparse +1 bits so that windows are not all saturated.
-    BitMatrix in(4, k.c * k.h * k.w);
-    for (std::int64_t i = 0; i < in.rows(); ++i) {
-      for (std::int64_t j = 0; j < in.cols(); ++j) {
-        if (rng.Bernoulli(0.1)) in.Set(i, j, +1);
+    for (const bool force_scalar : {false, true}) {
+      ProgramStage stage;
+      stage.kind = StageKind::kPool;
+      stage.pool.geom = {k.c, k.h, k.w, k.kh, k.kw, k.sh, k.sw, 0, 0};
+      const StageGeometry& g = stage.pool.geom;
+      // Sparse +1 bits so that windows are not all saturated.
+      BitMatrix in(4, k.c * k.h * k.w);
+      for (std::int64_t i = 0; i < in.rows(); ++i) {
+        for (std::int64_t j = 0; j < in.cols(); ++j) {
+          if (rng.Bernoulli(0.1)) in.Set(i, j, +1);
+        }
       }
-    }
-    const BitMatrix got = RunStageBatch(stage, in);
-    ASSERT_EQ(got.cols(), k.c * g.OutH() * g.OutW());
-    for (std::int64_t i = 0; i < in.rows(); ++i) {
-      for (std::int64_t c = 0; c < k.c; ++c) {
-        for (std::int64_t oy = 0; oy < g.OutH(); ++oy) {
-          for (std::int64_t ox = 0; ox < g.OutW(); ++ox) {
-            int want = -1;
-            for (std::int64_t ky = 0; ky < k.kh; ++ky) {
-              for (std::int64_t kx = 0; kx < k.kw; ++kx) {
-                want = std::max(want, in.Get(i, (c * k.h + oy * k.sh + ky) *
-                                                        k.w +
-                                                    ox * k.sw + kx));
+      const bool prev = SetXnorGemmForceScalar(force_scalar);
+      const BitMatrix got = RunStageBatch(stage, in);
+      SetXnorGemmForceScalar(prev);
+      ASSERT_EQ(got.cols(), k.c * g.OutH() * g.OutW());
+      for (std::int64_t i = 0; i < in.rows(); ++i) {
+        for (std::int64_t c = 0; c < k.c; ++c) {
+          for (std::int64_t oy = 0; oy < g.OutH(); ++oy) {
+            for (std::int64_t ox = 0; ox < g.OutW(); ++ox) {
+              int want = -1;
+              for (std::int64_t ky = 0; ky < k.kh; ++ky) {
+                for (std::int64_t kx = 0; kx < k.kw; ++kx) {
+                  const std::int64_t bit =
+                      (c * k.h + oy * k.sh + ky) * k.w + ox * k.sw + kx;
+                  want = std::max(want, in.Get(i, bit));
+                }
               }
+              ASSERT_EQ(got.Get(i, (c * g.OutH() + oy) * g.OutW() + ox), want)
+                  << (force_scalar ? "scalar" : "hardware") << " sample " << i
+                  << " channel " << c << " at " << oy << "," << ox;
             }
-            ASSERT_EQ(got.Get(i, (c * g.OutH() + oy) * g.OutW() + ox), want)
-                << "sample " << i << " channel " << c << " at " << oy << ","
-                << ox;
           }
         }
       }
